@@ -441,7 +441,7 @@ def cmd_tomo(cfg, dataset_path=None):
     if not fit.converged:
         raise RuntimeError(
             f"reconstruction did not converge in {fit.n_iterations} iterations "
-            f"(objective {fit.objective:.3e})")
+            f"(objective {fit.objective:.3e}, duality gap {fit.duality_gap:.3e})")
     boot = bootstrap_errors(data, n_resamples=16, seed=(cfg.seed + 1) % 2**64)
     rho = fit.rho
     d = rho.shape[0]
@@ -467,6 +467,9 @@ def cmd_tomo(cfg, dataset_path=None):
             float(2.0 * boot[0, d - 1] / (rho[0, 0].real + rho[-1, -1].real)),
         "underdetermined": fit.underdetermined,
         "objective": fit.objective,
+        "converged": fit.converged,
+        "n_iterations": fit.n_iterations,
+        "duality_gap": fit.duality_gap,
         "wigner_min": float(np.min(w)),
         "wigner_imag_residue": residue,
     }

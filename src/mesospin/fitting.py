@@ -1,9 +1,8 @@
 """Damped least-squares fitting with analytic Jacobians.
 
-A small Levenberg-Marquardt loop shared by the oscillation, decay, and
-density-matrix fits.  Steps are only accepted when they lower the
-objective, so the recorded objective history is non-increasing by
-construction.
+A small Levenberg-Marquardt loop shared by the oscillation and decay
+fits.  Steps are only accepted when they lower the objective, so the
+recorded objective history is non-increasing by construction.
 """
 
 from __future__ import annotations
@@ -23,6 +22,13 @@ __all__ = [
 ]
 
 
+# Stop once an accepted step lowers the objective by less than this
+# relative amount; the damping starts at _LAM0 and gives up past _LAM_MAX.
+_REL_TOL = 1e-12
+_LAM0 = 1e-3
+_LAM_MAX = 1e12
+
+
 @dataclass(frozen=True)
 class LeastSquaresResult:
     params: np.ndarray
@@ -32,16 +38,7 @@ class LeastSquaresResult:
     n_iterations: int
 
 
-def damped_least_squares(
-    residual,
-    jacobian,
-    p0,
-    *,
-    max_iter=200,
-    rel_tol=1e-12,
-    lam0=1e-3,
-    lam_max=1e12,
-):
+def damped_least_squares(residual, jacobian, p0, *, max_iter=200):
     """Minimize 0.5*||residual(p)||^2 with a damped Gauss-Newton loop.
 
     Parameters
@@ -51,9 +48,9 @@ def damped_least_squares(
         Jacobian (n_residuals x n_params).
     p0 : array-like
         Starting point.
-    rel_tol : float
-        Stop when an accepted step lowers the objective by less than
-        this relative amount.
+    max_iter : int
+        Most accepted steps; the loop stops earlier once a step lowers
+        the objective by less than a relative 1e-12.
 
     Returns
     -------
@@ -65,7 +62,7 @@ def damped_least_squares(
     r = residual(p)
     obj = 0.5 * float(r @ r)
     history = [obj]
-    lam = lam0
+    lam = _LAM0
     converged = False
     iterations = 0
     jac = jacobian(p)
@@ -73,7 +70,7 @@ def damped_least_squares(
         a = jac.T @ jac
         g = jac.T @ r
         accepted = False
-        while lam <= lam_max:
+        while lam <= _LAM_MAX:
             damped = a + lam * np.diag(np.clip(np.diag(a), 1e-14, None))
             try:
                 step = np.linalg.solve(damped, -g)
@@ -89,16 +86,16 @@ def damped_least_squares(
             lam *= 10.0
         if not accepted:
             # stalled at the numerical floor: no step can lower an
-            # objective that has already dropped below rel_tol of its
+            # objective that has already dropped below _REL_TOL of its
             # starting value
-            converged = obj <= rel_tol * history[0]
+            converged = obj <= _REL_TOL * history[0]
             break
         rel_drop = (obj - obj_trial) / max(obj, 1e-300)
         p, r, obj = trial, r_trial, obj_trial
         history.append(obj)
         jac = jacobian(p)
         lam = max(lam / 3.0, 1e-12)
-        if rel_drop < rel_tol:
+        if rel_drop < _REL_TOL:
             converged = True
             break
     else:

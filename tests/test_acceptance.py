@@ -160,12 +160,14 @@ def test_criterion_06_imperfection_budget():
 def test_criterion_07_tomography_round_trip():
     truth = kitten_state(J)
     exact = fit_density_matrix(synthesize_dataset(truth))
+    assert exact.converged
     assert fidelity(truth, exact.rho) > 0.999
 
     ratios, elements = [], []
     for seed in range(50):
         data = synthesize_dataset(truth, atom_total=90000, seed=seed)
         fit = fit_density_matrix(data)
+        assert fit.converged, seed
         ratios.append(coherence_ratio(fit.rho))
         elements.append([abs(fit.rho[0, 0]), abs(fit.rho[-1, -1]),
                          abs(fit.rho[0, -1])])

@@ -1,12 +1,18 @@
 """Reconstruction, multipole expansion, and the angular Wigner function."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mesospin
 from mesospin import (
     NoiseModel,
+    X_AXIS,
+    basis_state,
     bootstrap_errors,
     coherence_ratio,
     dataset_from_json,
@@ -75,6 +81,52 @@ def test_sampled_reconstruction_recovers_coherence():
     fit = fit_density_matrix(data)
     assert fidelity(fit.rho, KITTEN) > 0.99
     assert coherence_ratio(fit.rho) == pytest.approx(1.0, abs=0.05)
+
+
+def _objective(rho, data):
+    r = forward_model(rho, data.settings) - data.observations
+    return 0.5 * float(np.sum(r * r))
+
+
+def test_sampled_fit_is_certified_optimal(monkeypatch):
+    truth = basis_state(4.0, 4.0, axis=X_AXIS)
+    data = synthesize_dataset(truth, atom_total=2000, seed=3)
+    fit = fit_density_matrix(data)
+    assert fit.converged
+    assert fit.objective == pytest.approx(_objective(fit.rho, data), rel=1e-9)
+
+    monkeypatch.setattr(mesospin.tomography, "_GAP_RTOL", 1e-12)
+    monkeypatch.setattr(mesospin.tomography, "_GAP_ATOL", 0.0)
+    reference = fit_density_matrix(data)
+    assert reference.objective <= fit.objective
+    assert fit.duality_gap >= fit.objective - reference.objective
+
+    assert fit.objective <= _objective(np.outer(truth, truth.conj()), data)
+    mixed = 0.99 * fit.rho + 0.01 * np.eye(9) / 9
+    assert fit.objective <= _objective(mixed, data)
+
+
+_FIT_IN_SUBPROCESS = """
+import sys
+import numpy as np
+from mesospin import fit_density_matrix, kitten_state, synthesize_dataset
+data = synthesize_dataset(kitten_state(8.0), atom_total=2000, seed=5)
+np.save(sys.argv[1], fit_density_matrix(data).rho)
+"""
+
+
+def test_fit_does_not_depend_on_blas_thread_count(tmp_path):
+    src = os.path.dirname(os.path.dirname(mesospin.__file__))
+    rhos = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        out = tmp_path / f"rho{threads}.npy"
+        subprocess.run([sys.executable, "-c", _FIT_IN_SUBPROCESS, str(out)],
+                       env=env, check=True, timeout=300)
+        rhos.append(np.load(out))
+    assert np.max(np.abs(rhos[0] - rhos[1])) < 1e-8
 
 
 def test_dataset_json_round_trip_exact_and_sampled():
