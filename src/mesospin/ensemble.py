@@ -9,10 +9,17 @@ scatters a photon.  Averaging pure-state evolutions over these
 imperfections yields the mixed state actually probed, and each effect
 can be toggled individually to budget its impact.
 
-Photon scattering uses the Monte Carlo wavefunction method: between
-jumps the state evolves under H - (i/2) sum L_q^dag L_q, and detected
-decay triggers a quantum jump through one of the Rayleigh/Raman
-channels of the J -> J+1 transition.
+Photon scattering uses the Monte Carlo wavefunction (MCWF) method:
+between jumps the state evolves under H - (i/2) sum L_q^dag L_q, and
+detected decay triggers a quantum jump through one of the Rayleigh/Raman
+channels of the J -> J+1 transition.  One stepped engine, `_run_steps`,
+serves every stepped evolution: the ensemble average with a finite
+rise time or scattering, in which the main and leak starters step in
+one batch, the calibration of the jump rate, and `mcwf_scattering`.
+The jump rate is calibrated once per ensemble call, on the nominal
+atom alone, so it depends on the physics (initial state, coupling,
+field axis, rise time, scattering probability and pulse time) and
+never on the samples or the seed.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -237,6 +245,139 @@ def _apply_jump(psi, channels, rng_value):
     return out / math.sqrt(float(np.real(np.vdot(out, out))))
 
 
+@lru_cache(maxsize=None)
+def _jump_basis(two_j, polarization=(1.0, 0.0, 0.0)):
+    """Scattering channels and their sum kmat, with kmat's eigenbasis."""
+    channels, kmat = scattering_channels(two_j / 2.0, polarization)
+    kw, kv = np.linalg.eigh(kmat)
+    for arr in (*channels, kmat, kw, kv):
+        arr.setflags(write=False)
+    return tuple(channels), kmat, kw, kv
+
+
+class _Pulse(NamedTuple):
+    """A pulse cut into steps, as the stepped engine consumes it."""
+
+    env: np.ndarray          # intensity envelope at each step's midpoint
+    ds: float                # step length
+    light: tuple             # per-sample eigh (w, v) of the unit-envelope light term
+    quartic: tuple | None    # (per-sample scale, qw, qv) of the quartic term
+    field_half: np.ndarray | None  # static-field propagator over ds / 2
+
+
+def _stepped_pulse(cfg, imp, ops, f, eps, t):
+    """Pulse of area time t for the samples with intensities f, ellipticities eps."""
+    light, quartic, field = _hamiltonian_parts(cfg, imp, ops, f, eps)
+    duration = _pulse_duration(t, imp.pulse_rise_time)
+    n_steps = max(64, math.ceil(duration / 1e-9))
+    ds = duration / n_steps
+    grid = (np.arange(n_steps) + 0.5) * ds
+    if imp.pulse_rise_time > 0:
+        env = 1.0 - np.exp(-grid / imp.pulse_rise_time)
+    else:
+        env = np.ones(n_steps)
+    quartic_eig = None
+    if quartic is not None:
+        scale, qmat = quartic
+        quartic_eig = (scale, *np.linalg.eigh(qmat))
+    field_half = None if field is None else expi_hermitian(field, ds / 2.0)
+    return _Pulse(env, ds, np.linalg.eigh(light), quartic_eig, field_half)
+
+
+def _jump_draws(seed, n, n_steps):
+    """Per-sample uniforms: one jump test per step, then 8 channel picks."""
+    return np.stack([substream(seed, 1, i).random(n_steps + 8) for i in range(n)])
+
+
+def _run_steps(psi, pulse, decay=None, jumps=None):
+    """March states through the stepped pulse: the one MCWF engine.
+
+    psi has shape (blocks, samples, dim); per-sample terms broadcast
+    over blocks, so several initial states step in one batch.  Matrix
+    products stay per block, because BLAS rounds a single row unlike a
+    stack of rows.  Each step applies half the static field, the light,
+    quartic and decay terms in their eigenbases at the step's envelope
+    value, then the other half of the field.  decay = (rates, basis)
+    holds each sample's jump rate and its _jump_basis.  With jumps None
+    the norm simply decays (the rate calibration integrates that).
+    Otherwise jumps = (draws, seed): state (b, i) jumps at step k when
+    draws[b, i, k] is below its step's decay probability and picks its
+    channel with the trailing draws, refilled in place from
+    substream(seed, 2, i, ...) once used up.
+    """
+    wa, va = pulse.light
+    va_h = va.conj()
+    light_phase = -1j * wa
+    ds = pulse.ds
+    field_t = None if pulse.field_half is None else pulse.field_half.T
+    if pulse.quartic is not None:
+        scale, qw, qv = pulse.quartic
+        quartic_phase = -1j * scale[:, None] * qw[None, :]
+        qv_c, qv_t = qv.conj(), qv.T
+    if decay is not None:
+        rates, (channels, _, kw, kv) = decay
+        decay_exponent = -0.5 * rates[:, None] * kw[None, :]
+        kv_c, kv_t = kv.conj(), kv.T
+    if jumps is not None:
+        draws, seed = jumps
+        n_steps = pulse.env.size
+        extra = np.full(psi.shape[:2], n_steps)
+    for k, e_k in enumerate(pulse.env):
+        if field_t is not None:
+            psi = psi @ field_t
+        amp = np.einsum("nmk,bnm->bnk", va_h, psi)
+        amp *= np.exp(light_phase * (e_k * ds))
+        psi = np.einsum("nik,bnk->bni", va, amp)
+        if pulse.quartic is not None:
+            amp = psi @ qv_c
+            amp *= np.exp(quartic_phase * (e_k**2 * ds))
+            psi = amp @ qv_t
+        if decay is not None:
+            amp = psi @ kv_c
+            amp *= np.exp(decay_exponent * (e_k * ds))
+            decayed = amp @ kv_t
+            if jumps is None:
+                psi = decayed
+            else:
+                norms = np.real(np.einsum("bni,bni->bn", decayed, decayed.conj()))
+                ref = np.real(np.einsum("bni,bni->bn", psi, psi.conj()))
+                jump = draws[:, :, k] < 1.0 - norms / ref
+                psi = decayed / np.sqrt(norms)[:, :, None]
+                for b, i in zip(*np.nonzero(jump)):
+                    psi[b, i] = _apply_jump(decayed[b, i], channels,
+                                            draws[b, i, extra[b, i]])
+                    extra[b, i] += 1
+                    if extra[b, i] >= draws.shape[2]:
+                        draws[b, i, n_steps:] = substream(
+                            seed, 2, i, int(extra[b, i])
+                        ).random(draws.shape[2] - n_steps)
+                        extra[b, i] = n_steps
+        if field_t is not None:
+            psi = psi @ field_t
+    return psi
+
+
+def _calibrate_rate(initial, pulse, basis, target, t):
+    """Unit-intensity jump rate whose no-jump survival is 1 - target."""
+    if target == 0:
+        return 0.0
+    if not 0 < target < 1:
+        raise ValueError("scattering probability must lie in [0, 1)")
+
+    def survival(gamma):
+        psi = initial[None, None, :].astype(complex)
+        psi = _run_steps(psi, pulse, (np.array([gamma]), basis))
+        return float(np.real(np.vdot(psi[0, 0], psi[0, 0])))
+
+    expect = float(np.real(np.vdot(initial, basis[1] @ initial)))
+    gamma = target / max(expect * t, 1e-300)
+    # survival is nearly exponential in the rate, so three updates suffice
+    for _ in range(3):
+        decay = -math.log(survival(gamma)) / gamma
+        gamma = -math.log1p(-target) / decay
+    return gamma
+
+
 def mcwf_scattering(initial, p, t, trajectories, seed, *, steps=400,
                     target_probability=None):
     """Quantum-trajectory average of the pulse with photon scattering.
@@ -244,122 +385,49 @@ def mcwf_scattering(initial, p, t, trajectories, seed, *, steps=400,
     Evolves under the light-shift Hamiltonian of `p` while jump
     channels fire at the physical rate (linewidth / detuning) times the
     light shift; `target_probability` rescales that rate so the no-jump
-    survival matches 1 - target exactly (0 disables scattering).
+    survival matches 1 - target exactly (0 disables scattering).  The
+    trajectories run through the stepped engine and rate calibration of
+    the ensemble average, with `steps` equal steps.
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
     initial = np.asarray(initial, dtype=complex)
     j = spin_of(initial)
-    ops = make_operators(j)
-    h = light_shift_operator(p, ops)
+    h = light_shift_operator(p, make_operators(j))
     rate = (p.linewidth / p.detuning) * h
-    channels, kmat = scattering_channels(j, p.polarization)
+    basis = _jump_basis(int(round(2 * j)), tuple(complex(c) for c in p.polarization))
+    kmat = basis[1]
     gamma = float(np.trace(rate).real / np.trace(kmat).real)
     mismatch = np.max(np.abs(rate - gamma * kmat))
     if mismatch > 1e-6 * max(np.max(np.abs(rate)), 1e-300):
         raise ValueError("scattering rate is not proportional to the channel sum")
     if gamma < 0:
         raise ValueError("negative scattering rate; check the detuning sign")
+    w, v = np.linalg.eigh(h)
+    pulse = _Pulse(np.ones(steps), t / steps, (w[None], v[None]), None, None)
     if target_probability is not None:
-        gamma = _match_rate(initial, h, kmat, t, target_probability, gamma)
-    channels = [math.sqrt(gamma) * ch for ch in channels]
-
-    dt = t / steps
-    u_step = expm((-1j * h - 0.5 * gamma * kmat) * dt)
-    psi = np.repeat(initial[None, :], trajectories, axis=0)
-    draws = np.stack([substream(seed, i).random(steps + 8) for i in range(trajectories)])
-    extra = np.full(trajectories, steps)
-    for k in range(steps):
-        stepped = psi @ u_step.T
-        norms = np.real(np.einsum("ni,ni->n", stepped, stepped.conj()))
-        jump = draws[:, k] < 1.0 - norms
-        psi = stepped / np.sqrt(norms)[:, None]
-        for i in np.flatnonzero(jump):
-            psi[i] = _apply_jump(stepped[i], channels, draws[i, extra[i]])
-            extra[i] += 1
-            if extra[i] >= steps + 8:  # replenish, still deterministic
-                draws[i, steps:] = substream(seed, i, int(extra[i])).random(8)
-                extra[i] = steps
-    return np.einsum("ni,nk->ik", psi, psi.conj()) / trajectories
-
-
-def _match_rate(initial, h, kmat, t, target, gamma_guess):
-    """Rate multiplier whose no-jump survival equals 1 - target."""
-    if target == 0:
-        return 0.0
-    if not 0 < target < 1:
-        raise ValueError("scattering probability must lie in [0, 1)")
-
-    def survival(gamma):
-        final = expm((-1j * h - 0.5 * gamma * kmat) * t) @ initial
-        return float(np.real(np.vdot(final, final)))
-
-    gamma = gamma_guess if gamma_guess > 0 else 1.0 / t
-    # survival is nearly exponential in the rate, so two updates suffice
-    for _ in range(3):
-        decay = -math.log(survival(gamma)) / gamma
-        gamma = -math.log1p(-target) / decay
-    return gamma
-
-
-def _run_steps(psi, env, ds, light_eig, quartic_eig, field_half, decay_eig,
-               draws, seed):
-    """March the per-sample states through the shaped pulse.
-
-    psi has shape (samples, dim); light_eig carries the per-sample
-    eigendecomposition of the unit-envelope light term.  With draws
-    None the norm simply decays (no jumps), which is what the rate
-    calibration integrates.
-    """
-    n, dim = psi.shape
-    wa, va = light_eig
-    if draws is not None:
-        extra = np.full(n, env.size)
-    for k, e_k in enumerate(env):
-        if field_half is not None:
-            psi = psi @ field_half.T
-        amp = np.einsum("nmk,nm->nk", va.conj(), psi)
-        amp *= np.exp(-1j * wa * (e_k * ds))
-        psi = np.einsum("nik,nk->ni", va, amp)
-        if quartic_eig is not None:
-            scale, qw, qv = quartic_eig
-            amp = psi @ qv.conj()
-            amp *= np.exp(-1j * scale[:, None] * qw[None, :] * (e_k**2 * ds))
-            psi = amp @ qv.T
-        if decay_eig is not None:
-            gamma_f, kw, kv, channels = decay_eig
-            amp = psi @ kv.conj()
-            amp *= np.exp(-0.5 * gamma_f[:, None] * kw[None, :] * (e_k * ds))
-            decayed = amp @ kv.T
-            if draws is None:
-                psi = decayed
-            else:
-                norms = np.real(np.einsum("ni,ni->n", decayed, decayed.conj()))
-                ref = np.real(np.einsum("ni,ni->n", psi, psi.conj()))
-                jump = draws[:, k] < 1.0 - norms / ref
-                psi = decayed / np.sqrt(norms)[:, None]
-                for i in np.flatnonzero(jump):
-                    psi[i] = _apply_jump(decayed[i], channels, draws[i, extra[i]])
-                    extra[i] += 1
-                    if extra[i] >= draws.shape[1]:
-                        draws[i, env.size:] = substream(seed, 2, i, int(extra[i])).random(
-                            draws.shape[1] - env.size)
-                        extra[i] = env.size
-        if field_half is not None:
-            psi = psi @ field_half.T
-    return psi
+        gamma = _calibrate_rate(initial, pulse, basis, target_probability, t)
+    # every trajectory is one sample of the same atom
+    n, dim = trajectories, initial.size
+    pulse = pulse._replace(light=(np.broadcast_to(w, (n, dim)),
+                                  np.broadcast_to(v, (n, dim, dim))))
+    draws = _jump_draws(seed, n, steps)[None]
+    psi = np.broadcast_to(initial, (1, n, dim))
+    psi = _run_steps(psi, pulse, (np.full(n, gamma), basis), (draws, seed))[0]
+    return np.einsum("ni,nk->ik", psi, psi.conj()) / n
 
 
 def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
     """Average the per-sample evolutions into a density matrix."""
     dim = initial.size
-    light, quartic, field = _hamiltonian_parts(cfg, imp, ops, f, eps)
+    n = len(f)
     starters = [(1.0 - imp.initial_leak_fraction, initial)]
     if imp.initial_leak_fraction > 0:
         starters.append((imp.initial_leak_fraction, basis_state(ops.j, -ops.j + 1)))
 
     rho = np.zeros((dim, dim), dtype=complex)
     if imp.pulse_rise_time == 0 and imp.scattering_probability == 0:
+        light, quartic, field = _hamiltonian_parts(cfg, imp, ops, f, eps)
         h = light if field is None else light + field[None]
         if quartic is not None:
             scale, qmat = quartic
@@ -370,73 +438,38 @@ def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
             amp *= np.exp(-1j * w * t)
             psis = np.einsum("nik,nk->ni", v, amp)
             rho += weight * np.einsum("ni,nk->ik", psis, psis.conj())
-        return rho / len(f)
+        return rho / n
 
-    duration = _pulse_duration(t, imp.pulse_rise_time)
-    n_steps = max(64, math.ceil(duration / 1e-9))
-    ds = duration / n_steps
-    grid = (np.arange(n_steps) + 0.5) * ds
-    if imp.pulse_rise_time > 0:
-        env = 1.0 - np.exp(-grid / imp.pulse_rise_time)
-    else:
-        env = np.ones(n_steps)
-    light_eig = np.linalg.eigh(light)
-    quartic_eig = None
-    if quartic is not None:
-        scale, qmat = quartic
-        qw, qv = np.linalg.eigh(qmat)
-        quartic_eig = (scale, qw, qv)
-    field_half = None if field is None else expi_hermitian(field, ds / 2.0)
-
-    decay_eig = None
-    draws = None
+    pulse = _stepped_pulse(cfg, imp, ops, f, eps, t)
+    decay = jumps = None
     if imp.scattering_probability > 0 and t > 0:
-        channels, kmat = scattering_channels(ops.j)
-        kw, kv = np.linalg.eigh(kmat)
-        nominal = (np.ones(1), np.zeros(1))
-        gamma = _calibrate_ensemble_rate(
-            initial, cfg, imp, t, env, ds, kmat, ops, nominal)
-        decay_eig = (gamma * f, kw, kv, channels)
-        draws = np.stack(
-            [substream(seed, 1, i).random(n_steps + 8) for i in range(len(f))]
-        )
-
-    for weight, psi0 in starters:
-        psi = np.repeat(psi0[None, :], len(f), axis=0).astype(complex)
-        psi = _run_steps(psi, env, ds, light_eig, quartic_eig, field_half,
-                         decay_eig, None if draws is None else draws.copy(), seed)
-        norms = np.real(np.einsum("ni,ni->n", psi, psi.conj()))
-        psi = psi / np.sqrt(norms)[:, None]
-        rho += weight * np.einsum("ni,nk->ik", psi, psi.conj())
-    return rho / len(f)
+        gamma = _calibrate_ensemble_rate(initial, cfg, imp, t, ops)
+        decay = (gamma * f, _jump_basis(int(round(2 * ops.j))))
+        # each starter's copy of a sample consumes the same draws
+        draws = _jump_draws(seed, n, pulse.env.size)
+        jumps = (np.stack([draws] * len(starters)), seed)
+    # one block per starter, stepped in one batch
+    psi = np.stack([np.repeat(psi0[None, :], n, axis=0)
+                    for _, psi0 in starters]).astype(complex)
+    psi = _run_steps(psi, pulse, decay, jumps)
+    norms = np.real(np.einsum("bni,bni->bn", psi, psi.conj()))
+    psi = psi / np.sqrt(norms)[:, :, None]
+    for (weight, _), block in zip(starters, psi):
+        rho += weight * np.einsum("ni,nk->ik", block, block.conj())
+    return rho / n
 
 
-def _calibrate_ensemble_rate(initial, cfg, imp, t, env, ds, kmat, ops, nominal):
-    """Unit-intensity jump rate hitting the configured pulse probability."""
-    f1, eps1 = nominal
-    light, quartic, field = _hamiltonian_parts(cfg, imp, ops, f1, eps1)
-    light_eig = np.linalg.eigh(light)
-    quartic_eig = None
-    if quartic is not None:
-        scale, qmat = quartic
-        qw, qv = np.linalg.eigh(qmat)
-        quartic_eig = (scale, qw, qv)
-    field_half = None if field is None else expi_hermitian(field, ds / 2.0)
-    kw, kv = np.linalg.eigh(kmat)
-    target = imp.scattering_probability
+def _calibrate_ensemble_rate(initial, cfg, imp, t, ops):
+    """Unit-intensity jump rate hitting the configured pulse probability.
 
-    def survival(gamma):
-        psi = initial[None, :].astype(complex)
-        psi = _run_steps(psi, env, ds, light_eig, quartic_eig, field_half,
-                         (np.array([gamma]), kw, kv, None), None, None)
-        return float(np.real(np.vdot(psi[0], psi[0])))
-
-    expect = float(np.real(np.vdot(initial, kmat @ initial)))
-    gamma = target / max(expect * t, 1e-300)
-    for _ in range(3):
-        decay = -math.log(survival(gamma)) / gamma
-        gamma = -math.log1p(-target) / decay
-    return gamma
+    The rate belongs to the nominal atom (unit intensity, no
+    ellipticity), so it depends on the physics alone and never on the
+    samples, the seed or the sampling.
+    """
+    initial = np.asarray(initial, dtype=complex)
+    pulse = _stepped_pulse(cfg, imp, ops, np.ones(1), np.zeros(1), t)
+    return _calibrate_rate(initial, pulse, _jump_basis(int(round(2 * ops.j))),
+                           imp.scattering_probability, t)
 
 
 def ensemble_evolve(initial, cfg, imp, t, seed):

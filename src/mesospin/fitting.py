@@ -50,7 +50,10 @@ def damped_least_squares(residual, jacobian, p0, *, max_iter=200):
         Starting point.
     max_iter : int
         Most accepted steps; the loop stops earlier once a step lowers
-        the objective by less than a relative 1e-12.
+        the objective by less than a relative 1e-12, or once no step
+        lowers it.  Either way `converged` is set only at an optimum: a
+        stall counts when the gradient or the residual is at the
+        rounding floor.
 
     Returns
     -------
@@ -85,10 +88,15 @@ def damped_least_squares(residual, jacobian, p0, *, max_iter=200):
                 break
             lam *= 10.0
         if not accepted:
-            # stalled at the numerical floor: no step can lower an
-            # objective that has already dropped below _REL_TOL of its
-            # starting value
-            converged = obj <= _REL_TOL * history[0]
+            # No damping lowers the objective.  That is an optimum at the
+            # rounding floor if the residual has vanished, or if even a
+            # step along the gradient, which lowers the objective by about
+            # ||J^T r||^2 / (2 ||J||^2), would gain less than _REL_TOL of
+            # it: ||J^T r|| <= sqrt(_REL_TOL) ||J|| ||r||.  A stall with a
+            # larger gradient (say, from a wrong Jacobian) stays unconverged.
+            floor = math.sqrt(2.0 * _REL_TOL * obj) * np.linalg.norm(jac, 2)
+            converged = bool(obj <= _REL_TOL * history[0]
+                             or np.linalg.norm(g) <= floor)
             break
         rel_drop = (obj - obj_trial) / max(obj, 1e-300)
         p, r, obj = trial, r_trial, obj_trial

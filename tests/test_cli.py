@@ -100,6 +100,14 @@ def test_rerun_is_byte_identical(config_path, tmp_path):
         before = _tree_bytes(out)
         assert _run(cmd, config_path, out, *extra) == 0
         assert _tree_bytes(out) == before
+    # further stepped requests in the same process, with other sample
+    # counts, rerun byte for byte as well
+    for samples in ("5", "9"):
+        out = tmp_path / f"parity-{samples}"
+        assert _run("parity", config_path, out, "--samples", samples) == 0
+        first = _tree_bytes(out)
+        assert _run("parity", config_path, out, "--samples", samples) == 0
+        assert _tree_bytes(out) == first
 
 
 def test_seed_changes_sampled_output(config_path, tmp_path):

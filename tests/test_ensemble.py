@@ -1,6 +1,7 @@
 """Ensemble averaging over pulse imperfections and photon scattering."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,8 +24,11 @@ from mesospin import (
     projection_probs,
     scattering_channels,
     scattering_probability,
+    spin_of,
 )
-from mesospin.ensemble import _pulse_duration
+from mesospin import ensemble
+from mesospin.config import default_config
+from mesospin.ensemble import _calibrate_ensemble_rate, _pulse_duration
 
 OMEGA = 2 * math.pi * 1.98e6
 DETUNING = -2 * math.pi * 1.5e9
@@ -32,6 +36,53 @@ CFG = CouplingConfig(omega=OMEGA, detuning=DETUNING)
 T_KITTEN = (math.pi / 2) / OMEGA
 DOWN = basis_state(8, -8)
 KITTEN = kitten_state(8)
+
+# rho of ensemble_evolve(basis_state(4, -4)) at the default coupling and
+# imperfections (leak, rise time and scattering on), 10 samples, seed 3,
+# computed when each starter was stepped in its own loop
+_PIN_DIAGONAL = [
+    0.4727442819071437, 0.014056127631397472, 0.011207618486061761,
+    0.0004753032115705245, 0.003110992837413303, 0.001862764126239424,
+    0.015287318385327956, 0.013635520606688928, 0.467620072808157,
+]
+_PIN_UPPER = [  # row-major, above the diagonal
+    (0.0018212128344084141, 0.0016997073980912492),
+    (-0.014809744047372725, -0.03463519905660762),
+    (-0.001584737322651299, -0.00025616164966513216),
+    (-0.00040685838590495286, -8.11692709832979e-05),
+    (0.0019405286715558979, 4.686038955105956e-05),
+    (-0.054290067419664315, 0.030939189837168035),
+    (-0.0010601426600081662, -0.0007236650423472111),
+    (0.03422817299129886, -0.468889352794959),
+    (-0.00013761261035234994, -3.964645477116586e-05),
+    (-0.00029016317358072365, -0.0020909261443096184),
+    (-2.5376322801181058e-05, -1.3280018966849396e-06),
+    (-0.003055777991278001, 0.0010728828791295867),
+    (-4.271343343202429e-05, 0.00030710679420227634),
+    (-0.00010919491020631615, -0.013817393226830028),
+    (-0.0016229378248225025, -0.001983482751452341),
+    (9.034957779984084e-05, -9.59192789577279e-05),
+    (-0.004446006434771796, -0.0017691639217428863),
+    (-5.003808409055003e-05, 0.00012714031184975626),
+    (-0.0023201567837432646, -0.012216102307053764),
+    (5.712670195046893e-05, -0.0001290464464455827),
+    (0.03309116349233688, 0.01726354242216189),
+    (-1.4076831024179664e-05, -1.0106239969271717e-06),
+    (-0.0001739380165571933, -0.0008425072638153785),
+    (0.00014248578327541312, -0.00014905844099708968),
+    (0.0020223062111576974, 0.00027006257163488467),
+    (0.00014973303643033811, 0.0015835052447842003),
+    (-3.83592272679669e-06, 1.0979086230774031e-05),
+    (0.0026508928657257617, 0.003325023080155139),
+    (3.607312133809961e-06, 4.360396564753861e-05),
+    (7.0324614086357e-05, 0.0004408263704842862),
+    (-0.00021055489544789894, 0.00010717388083640173),
+    (-0.0010282502537460653, 0.002845727669525577),
+    (0.00010112862034913323, -0.001908816932572829),
+    (0.00010560597270771443, 0.00011451106069661172),
+    (-0.03474831345413567, 0.051402164818004005),
+    (0.0006939572235827014, 0.0010356726391528284),
+]
 
 
 def _light_params():
@@ -166,3 +217,93 @@ def test_mcwf_validation():
         mcwf_scattering(DOWN, p, T_KITTEN, 0, 0)
     with pytest.raises(ValueError):
         mcwf_scattering(DOWN, p, T_KITTEN, 2, 0, target_probability=1.0)
+
+
+def _default_physics(samples=10):
+    base = default_config()
+    return base.coupling, replace(base.imperfections, ensemble_samples=samples)
+
+
+def _rate(initial, coupling, imp, t):
+    return _calibrate_ensemble_rate(initial, coupling, imp, t,
+                                    make_operators(spin_of(initial)))
+
+
+def test_stepped_ensemble_matches_pinned_density():
+    coupling, imp = _default_physics()
+    down = basis_state(4, -4)
+    rho = ensemble_evolve(down, coupling, imp, T_KITTEN, seed=3)
+    expect = np.diag(np.array(_PIN_DIAGONAL, dtype=complex))
+    expect[np.triu_indices(9, 1)] = [complex(re, im) for re, im in _PIN_UPPER]
+    expect += np.triu(expect, 1).conj().T
+    assert np.max(np.abs(rho - expect)) < 1e-12
+
+
+def test_calibrated_rate_ignores_samples_seed_and_sampling(monkeypatch):
+    coupling, imp = _default_physics()
+    rate = _rate(DOWN, coupling, imp, T_KITTEN)
+    assert rate > 0
+    for other in (replace(imp, ensemble_samples=1),
+                  replace(imp, sampling="gaussian"),
+                  replace(imp, intensity_rms_fraction=0.0, stokes_s3=0.0),
+                  replace(imp, cloud_sigma=2e-5, initial_leak_fraction=0.0)):
+        assert _rate(DOWN, coupling, other, T_KITTEN) == rate
+    # the seed enters only the samples, never the calibration
+    used = []
+    calibrate = ensemble._calibrate_ensemble_rate
+
+    def recording(*args):
+        used.append(calibrate(*args))
+        return used[-1]
+
+    monkeypatch.setattr(ensemble, "_calibrate_ensemble_rate", recording)
+    for seed in (9, 10):
+        f, eps = ensemble._imperfection_draws(imp, seed)
+        ensemble._ensemble_density(DOWN, coupling, imp, T_KITTEN, f, eps, seed,
+                                   make_operators(8.0))
+    assert used == [rate, rate]
+
+
+def test_calibrated_rate_follows_the_physics():
+    coupling, imp = _default_physics()
+    rate = _rate(DOWN, coupling, imp, T_KITTEN)
+    for changed_coupling, changed, t in (
+            (coupling, replace(imp, scattering_probability=0.014), T_KITTEN),
+            (coupling, replace(imp, pulse_rise_time=100e-9), T_KITTEN),
+            (coupling, imp, 1.5 * T_KITTEN),
+            (replace(coupling, omega=1.1 * coupling.omega), imp, T_KITTEN),
+            (replace(coupling, omega_larmor=0.0), imp, T_KITTEN),
+            (coupling, replace(imp, field_axis_components=(0.0, 0.6, 0.8)), T_KITTEN),
+            (replace(coupling, include_jx4=not coupling.include_jx4), imp, T_KITTEN)):
+        other = _rate(DOWN, changed_coupling, changed, t)
+        assert other != pytest.approx(rate, rel=1e-9)
+    # twice the probability needs about twice the rate
+    doubled = _rate(DOWN, coupling, replace(imp, scattering_probability=0.014), T_KITTEN)
+    assert doubled == pytest.approx(2 * rate, rel=0.02)
+
+
+# 0.5: most samples jump; 1 - 1e-7: about 16 jumps each, so the
+# channel-pick draws are refilled from the replenishment substream
+@pytest.mark.parametrize("samples, probability", [(1, 0.5), (3, 0.5), (3, 1 - 1e-7)])
+def test_batched_starters_match_starters_stepped_alone(samples, probability):
+    # reference: each starter stepped on its own with its own copy of
+    # the draws.  BLAS rounds a one-row product unlike a stack of rows,
+    # so the batch must keep the starters' products apart to match.
+    coupling, imp = _default_physics(samples)
+    imp = replace(imp, scattering_probability=probability)
+    ops = make_operators(8.0)
+    f, eps = ensemble._imperfection_draws(imp, 2)
+    pulse = ensemble._stepped_pulse(coupling, imp, ops, f, eps, T_KITTEN)
+    rate = _calibrate_ensemble_rate(DOWN, coupling, imp, T_KITTEN, ops)
+    decay = (rate * f, ensemble._jump_basis(16))
+    draws = ensemble._jump_draws(2, samples, pulse.env.size)
+    expect = np.zeros((17, 17), dtype=complex)
+    for weight, start in ((1.0 - imp.initial_leak_fraction, DOWN),
+                          (imp.initial_leak_fraction, basis_state(8, -7))):
+        psi = np.repeat(start[None, None], samples, axis=1)
+        psi = ensemble._run_steps(psi, pulse, decay, (draws[None].copy(), 2))[0]
+        norms = np.real(np.einsum("ni,ni->n", psi, psi.conj()))
+        psi = psi / np.sqrt(norms)[:, None]
+        expect += weight * np.einsum("ni,nk->ik", psi, psi.conj())
+    rho = ensemble_evolve(DOWN, coupling, imp, T_KITTEN, seed=2)
+    assert np.array_equal(rho, expect / samples)

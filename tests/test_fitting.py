@@ -23,6 +23,33 @@ def test_damped_least_squares_on_rosenbrock_residual():
     assert hist[-1] < 1e-12
 
 
+def test_stall_at_the_rounding_floor_is_converged():
+    # near-noise-free sinusoids stall after a few steps with a residual
+    # that is small but nonzero; the stall is the optimum
+    x = np.linspace(0.0, math.pi / 8, 65)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for noise in (1e-5, 1e-4, 1e-3):
+            y = 0.9 * np.sin(16 * x + 0.3) + 0.05 + noise * rng.standard_normal(x.size)
+            fit = fit_sinusoid(x, y, 16.0)
+            assert fit.converged, (seed, noise)
+            assert fit.amplitude == pytest.approx(0.9, abs=10 * noise)
+
+
+def test_stall_with_a_large_gradient_stays_unconverged():
+    # a wrong-signed Jacobian makes every damped step go uphill, so the
+    # loop stops at once, far from the optimum
+    def residual(p):
+        return np.array([10.0 * (p[1] - p[0] ** 2), 1.0 - p[0]])
+
+    def jacobian(p):
+        return -np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
+
+    res = damped_least_squares(residual, jacobian, [-1.2, 1.0])
+    assert not res.converged
+    assert len(res.objective_history) == 1
+
+
 def test_sinusoid_exact_recovery():
     x = np.linspace(0.0, 2 * math.pi, 200)
     y = 2.5 * np.sin(16 * x + 0.4) - 1.2
