@@ -50,8 +50,7 @@ def identity_section(runs, seed):
 def envelope_section(seed):
     static = NoiseModel.static_from_time(TAU0)
     times = np.linspace(0.0, 3.0 * TAU0, 41)
-    omega_larmor = 2.0 * np.pi * 31.7e3
-    curve = ramsey_simulate(static, omega_larmor, times, 400, seed)
+    curve = ramsey_simulate(static, times, 400, seed)
     print(f"\nramsey envelope fit ({curve.model} model, 400 shots/point)")
     print(f"  amplitude {curve.amplitude:.2f}, "
           f"tau {curve.tau * 1e6:.0f} us (input {TAU0 * 1e6:.0f} us)")

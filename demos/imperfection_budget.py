@@ -9,13 +9,7 @@ import argparse
 import time
 from dataclasses import replace
 
-from mesospin import (
-    basis_state,
-    default_config,
-    ensemble_evolve,
-    gain_budget,
-    measurement_scheme_gains,
-)
+from mesospin import default_config, gain_budget, measurement_scheme_gains
 
 
 def main():
@@ -43,9 +37,7 @@ def main():
     print(f"{row.label:<28} {row.gain:>7.3f} {row.correction:>+7.3f}")
     print(f"recalibrated pulse time {row.pulse_time * 1e9:.2f} ns")
 
-    rho = ensemble_evolve(basis_state(cfg.j, -cfg.j), coupling, imp,
-                          row.pulse_time, args.seed)
-    schemes = measurement_scheme_gains(rho)
+    schemes = measurement_scheme_gains(budget.combined_state)
     print("\nreadout schemes on the combined state")
     for name, rep in [("parity", schemes.parity),
                       ("hellinger", schemes.hellinger),

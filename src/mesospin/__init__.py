@@ -123,10 +123,12 @@ from .metrology import (
     gain_from_parity,
     heisenberg_phase_uncertainty,
     hellinger_distance,
+    hellinger_window,
     magnetization_curve,
     parity_curve,
     parity_gain_from_contrast,
     phase_uncertainty,
+    sample_scan,
     sql_phase_uncertainty,
     variance_bound,
     variance_curve,

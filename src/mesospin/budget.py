@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import basis_state, expi_hermitian, make_operators, spin_of, spin_variance
-from .dynamics import CouplingConfig
-from .ensemble import ImperfectionConfig, _ensemble_density, _imperfection_draws
+from .dynamics import kitten_state
+from .ensemble import _ensemble_density, _imperfection_draws
 from .measurement import ramsey_scan
 from .metrology import (
     PhaseScan,
@@ -31,6 +31,7 @@ from .metrology import (
     gain_from_hellinger,
     gain_from_magnetization,
     gain_from_parity,
+    hellinger_window,
     variance_bound,
 )
 
@@ -62,9 +63,12 @@ class BudgetRow:
 
 @dataclass(frozen=True)
 class GainBudget:
+    """Budget rows; `combined_state` is the ensemble state of the combined row."""
+
     ideal_gain: float
     rows: tuple
     combined: BudgetRow
+    combined_state: np.ndarray
 
     def row(self, label):
         for r in self.rows:
@@ -80,35 +84,45 @@ def _effective_coupling(cfg, j):
     return cfg.omega * (1.0 + (cfg.omega / cfg.detuning) * (2 * j * j + 3 * j + 1))
 
 
-def _best_gain(initial, cfg, imp, seed, scan_points, scan_halfwidth, n_phi):
-    """Maximal Fisher gain over the pulse-duration recalibration scan."""
+_SCAN_POINTS = 13
+_SCAN_HALFWIDTH = 0.03
+_N_PHI = 180
+
+
+def _best_gain(initial, cfg, imp, seed):
+    """Maximal Fisher gain over the pulse-duration recalibration scan.
+
+    Returns (gain, pulse time, ensemble state at that time).
+    """
     j = spin_of(initial)
     ops = make_operators(j)
     f, eps = _imperfection_draws(imp, seed)
     nominal = (math.pi / 2.0) / _effective_coupling(cfg, j)
-    if not cfg.include_jx4:
-        scan_points, scan_halfwidth = 1, 0.0
-    best = (-math.inf, nominal)
+    scan_points, scan_halfwidth = ((_SCAN_POINTS, _SCAN_HALFWIDTH)
+                                   if cfg.include_jx4 else (1, 0.0))
+    best = (-math.inf, nominal, None)
     for t in nominal * np.linspace(1.0 - scan_halfwidth, 1.0 + scan_halfwidth,
                                    scan_points):
         rho = _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops)
-        gain = fisher_gain(rho, n_phi=n_phi)
+        gain = fisher_gain(rho, n_phi=_N_PHI)
         if gain > best[0]:
-            best = (gain, t)
+            best = (gain, t, rho)
     return best
 
 
-def gain_budget(cfg, imp, *, j=8.0, seed=0, scan_points=13,
-                scan_halfwidth=0.03, n_phi=180):
+def gain_budget(cfg, imp, *, j=8.0, seed=0):
     """Per-imperfection gain corrections and the combined budget.
 
     `cfg` and `imp` describe the full experiment (static field with its
     tilted axis, quartic correction, intensity and polarization spread,
     leak, rise time, scattering); each row re-runs the ensemble with
-    only its own effect enabled.
+    only its own effect enabled.  Rows with the quartic correction
+    rescan the pulse duration at 13 points within +-3 % of its
+    renormalized nominal value, and every gain, the ideal one included,
+    is the best Fisher gain over 180 readout angles.
     """
     initial = basis_state(j, -j)
-    ideal = fisher_gain(_kitten_reference(j), n_phi=n_phi)
+    ideal = fisher_gain(kitten_state(j), n_phi=_N_PHI)
 
     off = replace(
         imp, intensity_rms_fraction=0.0, stokes_s3=0.0,
@@ -119,8 +133,7 @@ def gain_budget(cfg, imp, *, j=8.0, seed=0, scan_points=13,
     with_field = replace(cfg, include_jx4=False)
 
     def run(label, row_cfg, row_imp, *, baseline=ideal, flagged=False):
-        gain, t_best = _best_gain(initial, row_cfg, row_imp, seed,
-                                  scan_points, scan_halfwidth, n_phi)
+        gain, t_best, _ = _best_gain(initial, row_cfg, row_imp, seed)
         return BudgetRow(label=label, gain=gain, correction=gain - baseline,
                          pulse_time=t_best, flagged=flagged)
 
@@ -157,14 +170,11 @@ def gain_budget(cfg, imp, *, j=8.0, seed=0, scan_points=13,
         "photon scattering", bare,
         replace(off, scattering_probability=imp.scattering_probability),
     ))
-    combined = run("combined", cfg, imp)
-    return GainBudget(ideal_gain=ideal, rows=tuple(rows), combined=combined)
-
-
-def _kitten_reference(j):
-    from .dynamics import kitten_state
-
-    return kitten_state(j)
+    gain, t_best, state = _best_gain(initial, cfg, imp, seed)
+    combined = BudgetRow(label="combined", gain=gain, correction=gain - ideal,
+                         pulse_time=t_best)
+    return GainBudget(ideal_gain=ideal, rows=tuple(rows), combined=combined,
+                      combined_state=state)
 
 
 @dataclass(frozen=True)
@@ -178,13 +188,15 @@ class SchemeGains:
     bound: float
 
 
-def measurement_scheme_gains(state, *, pulse=None, n_scan=65, n_window=9):
+def measurement_scheme_gains(state):
     """Evaluate parity, Hellinger, and magnetization metrology on a state.
 
     The first two schemes read the equatorial projection distributions
-    directly; the other two apply a second twisting pulse (ideal by
-    default) and read the z distribution.  Returns the four gain
-    reports together with the variance bound 2*varz/j.
+    directly; the other two apply a second, ideal twisting pulse
+    exp(-i (pi/2) Jx^2) and read the z distribution.  Parity and
+    magnetization are fitted on 65 angles over one parity period pi/j,
+    the Hellinger slopes on 9 angles over the window 0.3/(2j).  Returns
+    the four gain reports together with the variance bound 2*varz/j.
     """
     state = np.asarray(state)
     j = spin_of(state)
@@ -193,17 +205,15 @@ def measurement_scheme_gains(state, *, pulse=None, n_scan=65, n_window=9):
     bound = variance_bound(state)
 
     period = math.pi / j
-    phis = np.linspace(0.0, period, n_scan)
+    phis = np.linspace(0.0, period, 65)
     scan = equatorial_phase_scan(state, phis)
     parity_report = gain_from_parity(scan, varz_bound=varz)
 
-    window = 0.3 / (2 * j)
-    phis_w = np.linspace(0.0, window, n_window)
+    phis_w = np.linspace(0.0, hellinger_window(j), 9)
     scan_w = equatorial_phase_scan(state, phis_w)
     hellinger_report = gain_from_hellinger(scan_w, 0.0, varz_bound=varz)
 
-    if pulse is None:
-        pulse = expi_hermitian(ops.jx @ ops.jx, math.pi / 2.0)
+    pulse = expi_hermitian(ops.jx @ ops.jx, math.pi / 2.0)
     ramsey = PhaseScan(phis=phis, distributions=ramsey_scan(state, phis, pulse))
     magnetization_report = gain_from_magnetization(ramsey, varz_bound=varz)
 

@@ -40,13 +40,7 @@ from .dynamics import (
 )
 from .ensemble import _ensemble_density, _imperfection_draws, ensemble_evolve
 from .fitting import fit_decay
-from .measurement import (
-    magnetization,
-    projection_probs,
-    ramsey_scan,
-    sample_counts,
-    variance,
-)
+from .measurement import magnetization, projection_probs, ramsey_scan, variance
 from .metrology import (
     PhaseScan,
     equatorial_phase_scan,
@@ -54,9 +48,11 @@ from .metrology import (
     gain_from_magnetization,
     gain_from_parity,
     hellinger_distance,
+    hellinger_window,
     parity_curve,
+    sample_scan,
 )
-from .rng import RNG_ALGORITHM, substream
+from .rng import RNG_ALGORITHM
 from .tomography import (
     bootstrap_errors,
     coherence_ratio,
@@ -353,13 +349,8 @@ def cmd_ramsey(cfg):
     ops = make_operators(j)
     pulse = expi_hermitian(ops.jx @ ops.jx, math.pi / 2.0)
     phis = np.linspace(0.0, math.pi / j, 65)
-    dists = ramsey_scan(rho, phis, pulse)
-    scan = PhaseScan(phis=phis, distributions=dists)
-    sampled = [
-        _sampled(d, cfg.atom_total, cfg.seed, i) for i, d in enumerate(dists)
-    ]
-    scan_sampled = PhaseScan(phis=phis, distributions=sampled,
-                             provenance="sampled")
+    scan = PhaseScan(phis=phis, distributions=ramsey_scan(rho, phis, pulse))
+    scan_sampled = sample_scan(scan, cfg.atom_total, cfg.seed)
     varz = variance(projection_probs(rho))
     report = gain_from_magnetization(scan_sampled, varz_bound=varz)
 
@@ -384,14 +375,10 @@ def cmd_ramsey(cfg):
                    merge=True)
 
 
-def _sampled(dist, atom_total, seed, index):
-    return sample_counts(dist, atom_total, substream(seed, index).integers(2**63))
-
-
 def cmd_hellinger(cfg):
     """Hellinger-distance slopes for coherent, ideal, and imperfect states."""
     j = cfg.j
-    window = 0.3 / (2 * j)
+    window = hellinger_window(j)
     phis = np.linspace(0.0, 3.0 * window, 25)
     coherent = basis_state(j, j, axis=X_AXIS)
     kitten = kitten_state(j)
@@ -535,12 +522,7 @@ def cmd_budget(cfg):
                     ("pulse_time", "s"), ("geometry_flagged", "")],
                    records, summary)
 
-    ops = make_operators(cfg.j)
-    f, eps = _imperfection_draws(cfg.imperfections, cfg.seed)
-    rho = _ensemble_density(basis_state(cfg.j, -cfg.j), coupling,
-                            cfg.imperfections, budget.combined.pulse_time,
-                            f, eps, cfg.seed, ops)
-    schemes = measurement_scheme_gains(rho)
+    schemes = measurement_scheme_gains(budget.combined_state)
     rows = [
         ("parity", schemes.parity),
         ("hellinger", schemes.hellinger),

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .dephasing import DEFAULT_G_FACTOR, NoiseModel
-from .dynamics import CouplingConfig, LightShiftParams, intensity_for_coupling
+from .dynamics import CouplingConfig
 from .ensemble import ImperfectionConfig
 
 __all__ = [
@@ -56,25 +56,6 @@ class RunConfig:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.out_format not in ("csv", "json"):
             raise ValueError("output format must be 'csv' or 'json'")
-
-    def light_params(self, epsilon=0.0):
-        """Light-shift parameters whose intensity realizes the coupling."""
-        intensity = intensity_for_coupling(
-            self.coupling.omega, self.linewidth, self.resonance_wavelength,
-            self.coupling.detuning, self.j,
-        )
-        if epsilon == 0.0:
-            polarization = (1.0, 0.0, 0.0)
-        else:
-            norm = math.sqrt(1.0 + epsilon**2)
-            polarization = (1.0 / norm, 1j * epsilon / norm, 0.0)
-        return LightShiftParams(
-            linewidth=self.linewidth,
-            resonance_wavelength=self.resonance_wavelength,
-            detuning=self.coupling.detuning,
-            intensity=intensity,
-            polarization=polarization,
-        )
 
     def kitten_pulse_time(self):
         """Nominal quarter-revival pulse duration (pi/2 of twisting phase)."""

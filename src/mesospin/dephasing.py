@@ -180,25 +180,23 @@ def _phase_draws(model, times, runs, seed):
     return model.gamma * np.cumsum(increments, axis=1)
 
 
-def ramsey_simulate(model, omega_larmor, times, runs, seed, *, j=8.0,
-                    coherence_order=1, fit_model=None):
+def ramsey_simulate(model, times, runs, seed, *, j=8.0, coherence_order=1):
     """Monte-Carlo transverse-spin envelope J_perp(t) under field noise.
 
     The magnetization oscillates as j * cos(omega_larmor t + phi) with a
-    noisy phase; demodulating at omega_larmor leaves the envelope
-    j * |<exp(i n delta_phi)>|, which this returns with a fitted 1/e
-    time.  coherence_order n = 1 probes a coherent state, n = 2j the
-    extremal coherence.  The default fit model follows the noise kind
-    (gaussian for static, exponential for markovian).
+    noisy phase; demodulating at the Larmor frequency leaves the
+    envelope j * |<exp(i n delta_phi)>|, which does not depend on that
+    frequency and which this returns with a fitted 1/e time.
+    coherence_order n = 1 probes a coherent state, n = 2j the extremal
+    coherence.  The fit model follows the noise kind: gaussian for
+    static noise, exponential for markovian noise.
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    del omega_larmor  # carrier is demodulated away; envelope is independent
     times = np.asarray(times, dtype=float)
     phases = coherence_order * _phase_draws(model, times, runs, seed)
     envelope = j * np.abs(np.exp(1j * phases).mean(axis=0))
-    if fit_model is None:
-        fit_model = "gaussian" if model.kind == "static-gaussian" else "exponential"
+    fit_model = "gaussian" if model.kind == "static-gaussian" else "exponential"
     fit = fit_decay(times, envelope, model=fit_model)
     return DecayCurve(times=times, values=envelope, tau=fit.tau,
                       model=fit_model, amplitude=fit.amplitude)

@@ -30,8 +30,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .angular import clebsch_gordan
 from .core import _unit_vector, basis_state, expi_hermitian, make_operators, spin_of
@@ -171,15 +169,20 @@ def _pulse_duration(area_time, rise):
     """Duration of a pulse with exponential rise and the same area.
 
     Solves T - rise * (1 - exp(-T/rise)) = area_time, so the integrated
-    intensity matches a square pulse of length area_time.
+    intensity matches a square pulse of length area_time.  The left
+    side is convex and increasing in T and overshoots at T = area_time
+    + rise, so Newton steps from there fall monotonically onto the root;
+    they stop once a step no longer lowers T.
     """
     if rise == 0:
         return area_time
-
-    def gap(total):
-        return total - rise * (1.0 - math.exp(-total / rise)) - area_time
-
-    return brentq(gap, area_time, area_time + rise + 1e-15)
+    total = area_time + rise
+    while True:
+        slope = -math.expm1(-total / rise)
+        lower = total - (total - rise * slope - area_time) / slope
+        if not lower < total:
+            return total
+        total = lower
 
 
 @lru_cache(maxsize=None)
@@ -226,14 +229,16 @@ def scattering_probability(initial, p, t):
     """Photon-scattering probability over a pulse of duration t.
 
     One minus the no-jump survival under the physical scattering rate
-    (linewidth / detuning) times the light-shift operator.
+    (linewidth / detuning) times the light-shift operator h.  The
+    no-jump generator (-i - linewidth / (2 detuning)) h is a scalar
+    times h, so it is exponentiated in the eigenbasis of h.
     """
     initial = np.asarray(initial, dtype=complex)
     ops = make_operators(spin_of(initial))
-    h = light_shift_operator(p, ops)
-    rate = (p.linewidth / p.detuning) * h
-    final = expm((-1j * h - 0.5 * rate) * t) @ initial
-    return 1.0 - float(np.real(np.vdot(final, final)))
+    w, v = np.linalg.eigh(light_shift_operator(p, ops))
+    amp = v.conj().T @ initial
+    amp *= np.exp((-1j - 0.5 * p.linewidth / p.detuning) * w * t)
+    return 1.0 - float(np.real(np.vdot(amp, amp)))
 
 
 def _apply_jump(psi, channels, rng_value):
@@ -378,7 +383,10 @@ def _calibrate_rate(initial, pulse, basis, target, t):
     return gamma
 
 
-def mcwf_scattering(initial, p, t, trajectories, seed, *, steps=400,
+_MCWF_STEPS = 400
+
+
+def mcwf_scattering(initial, p, t, trajectories, seed, *,
                     target_probability=None):
     """Quantum-trajectory average of the pulse with photon scattering.
 
@@ -387,7 +395,7 @@ def mcwf_scattering(initial, p, t, trajectories, seed, *, steps=400,
     light shift; `target_probability` rescales that rate so the no-jump
     survival matches 1 - target exactly (0 disables scattering).  The
     trajectories run through the stepped engine and rate calibration of
-    the ensemble average, with `steps` equal steps.
+    the ensemble average, with 400 equal steps.
     """
     if trajectories < 1:
         raise ValueError("need at least one trajectory")
@@ -404,14 +412,15 @@ def mcwf_scattering(initial, p, t, trajectories, seed, *, steps=400,
     if gamma < 0:
         raise ValueError("negative scattering rate; check the detuning sign")
     w, v = np.linalg.eigh(h)
-    pulse = _Pulse(np.ones(steps), t / steps, (w[None], v[None]), None, None)
+    pulse = _Pulse(np.ones(_MCWF_STEPS), t / _MCWF_STEPS, (w[None], v[None]),
+                   None, None)
     if target_probability is not None:
         gamma = _calibrate_rate(initial, pulse, basis, target_probability, t)
     # every trajectory is one sample of the same atom
     n, dim = trajectories, initial.size
     pulse = pulse._replace(light=(np.broadcast_to(w, (n, dim)),
                                   np.broadcast_to(v, (n, dim, dim))))
-    draws = _jump_draws(seed, n, steps)[None]
+    draws = _jump_draws(seed, n, _MCWF_STEPS)[None]
     psi = np.broadcast_to(initial, (1, n, dim))
     psi = _run_steps(psi, pulse, (np.full(n, gamma), basis), (draws, seed))[0]
     return np.einsum("ni,nk->ik", psi, psi.conj()) / n

@@ -23,8 +23,10 @@ __all__ = [
 
 
 # Stop once an accepted step lowers the objective by less than this
-# relative amount; the damping starts at _LAM0 and gives up past _LAM_MAX.
+# relative amount, or after _MAX_ITER accepted steps; the damping starts
+# at _LAM0 and gives up past _LAM_MAX.
 _REL_TOL = 1e-12
+_MAX_ITER = 200
 _LAM0 = 1e-3
 _LAM_MAX = 1e12
 
@@ -38,8 +40,14 @@ class LeastSquaresResult:
     n_iterations: int
 
 
-def damped_least_squares(residual, jacobian, p0, *, max_iter=200):
+def damped_least_squares(residual, jacobian, p0):
     """Minimize 0.5*||residual(p)||^2 with a damped Gauss-Newton loop.
+
+    The loop takes at most 200 accepted steps and stops earlier once a
+    step lowers the objective by less than a relative 1e-12, or once no
+    step lowers it.  Either way `converged` is set only at an optimum: a
+    stall counts when the gradient or the residual is at the rounding
+    floor.
 
     Parameters
     ----------
@@ -48,12 +56,6 @@ def damped_least_squares(residual, jacobian, p0, *, max_iter=200):
         Jacobian (n_residuals x n_params).
     p0 : array-like
         Starting point.
-    max_iter : int
-        Most accepted steps; the loop stops earlier once a step lowers
-        the objective by less than a relative 1e-12, or once no step
-        lowers it.  Either way `converged` is set only at an optimum: a
-        stall counts when the gradient or the residual is at the
-        rounding floor.
 
     Returns
     -------
@@ -69,7 +71,7 @@ def damped_least_squares(residual, jacobian, p0, *, max_iter=200):
     converged = False
     iterations = 0
     jac = jacobian(p)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         a = jac.T @ jac
         g = jac.T @ r
         accepted = False
@@ -106,8 +108,6 @@ def damped_least_squares(residual, jacobian, p0, *, max_iter=200):
         if rel_drop < _REL_TOL:
             converged = True
             break
-    else:
-        iterations = max_iter
     n, k = len(r), len(p)
     scale = 2.0 * obj / (n - k) if n > k else 0.0
     cov = scale * np.linalg.pinv(jac.T @ jac)
@@ -144,65 +144,41 @@ class SinusoidFit:
         return self.amplitude * np.sin(self.frequency * np.asarray(x) + self.phase) + self.offset
 
 
-def fit_sinusoid(x, y, frequency_guess, *, weights=None, fix_frequency=False):
-    """Fit A sin(kx + phi) + c with an analytic Jacobian.
+def fit_sinusoid(x, y, frequency_guess):
+    """Fit A sin(kx + phi) + c, all four free, with an analytic Jacobian.
 
-    The amplitude and phase are initialized from the discrete Fourier
-    component of y at the guessed frequency, which is accurate whenever
-    the grid covers about an integer number of periods.  The returned
-    amplitude is non-negative.
+    Every point has unit weight.  The amplitude and phase are
+    initialized from the discrete Fourier component of y at the guessed
+    frequency, which is accurate whenever the grid covers about an
+    integer number of periods.  The returned amplitude is non-negative.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.ones_like(y) if weights is None else np.sqrt(np.asarray(weights, float))
-    c0 = float(np.average(y, weights=w**2))
+    c0 = float(np.mean(y))
     z = np.sum((y - c0) * np.exp(-1j * frequency_guess * x)) * 2.0 / len(x)
-    a0 = abs(z)
-    phi0 = float(np.angle(z) + math.pi / 2)
-
-    if fix_frequency:
-        def unpack(p):
-            return p[0], frequency_guess, p[1], p[2]
-        p0 = [a0, phi0, c0]
-    else:
-        def unpack(p):
-            return p[0], p[1], p[2], p[3]
-        p0 = [a0, frequency_guess, phi0, c0]
+    p0 = [abs(z), frequency_guess, float(np.angle(z) + math.pi / 2), c0]
 
     def residual(p):
-        a, k, phi, c = unpack(p)
-        return w * (a * np.sin(k * x + phi) + c - y)
+        a, k, phi, c = p
+        return a * np.sin(k * x + phi) + c - y
 
     def jacobian(p):
-        a, k, phi, c = unpack(p)
+        a, k, phi, c = p
         s = np.sin(k * x + phi)
         cc = np.cos(k * x + phi)
-        cols = [w * s]
-        if not fix_frequency:
-            cols.append(w * a * x * cc)
-        cols.extend([w * a * cc, w * np.ones_like(x)])
-        return np.column_stack(cols)
+        return np.column_stack([s, a * x * cc, a * cc, np.ones_like(x)])
 
     res = damped_least_squares(residual, jacobian, p0)
-    a, k, phi, c = unpack(res.params)
+    a, k, phi, c = res.params
     if a < 0:
         a, phi = -a, phi + math.pi
     phi = (phi + math.pi) % (2 * math.pi) - math.pi
-    cov = res.covariance
-    if fix_frequency:
-        # expand to the 4-parameter layout with zero frequency uncertainty
-        full = np.zeros((4, 4))
-        idx = [0, 2, 3]
-        for r, i in enumerate(idx):
-            for s, jj in enumerate(idx):
-                full[i, jj] = cov[r, s]
-        cov = full
     return SinusoidFit(
         amplitude=float(a),
         frequency=float(k),
         phase=float(phi),
         offset=float(c),
-        covariance=cov,
+        covariance=res.covariance,
         objective_history=res.objective_history,
         converged=res.converged,
     )
@@ -230,13 +206,12 @@ class DecayFit:
         return self.amplitude * np.exp(-t / self.tau)
 
 
-def fit_decay(times, values, model="exponential", *, weights=None):
-    """Fit a decaying envelope and report its 1/e time."""
+def fit_decay(times, values, model="exponential"):
+    """Fit a decaying envelope, every point at unit weight, and report its 1/e time."""
     if model not in ("exponential", "gaussian"):
         raise ValueError(f"unknown decay model {model!r}")
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
-    w = np.ones_like(y) if weights is None else np.sqrt(np.asarray(weights, float))
     a0 = float(y[np.argmin(t)])
     below = np.nonzero(y < a0 / math.e)[0]
     tau0 = float(t[below[0]]) if below.size else float(t[-1])
@@ -245,16 +220,16 @@ def fit_decay(times, values, model="exponential", *, weights=None):
     def residual(p):
         a, tau = p
         if model == "gaussian":
-            return w * (a * np.exp(-((t / tau) ** 2)) - y)
-        return w * (a * np.exp(-t / tau) - y)
+            return a * np.exp(-((t / tau) ** 2)) - y
+        return a * np.exp(-t / tau) - y
 
     def jacobian(p):
         a, tau = p
         if model == "gaussian":
             e = np.exp(-((t / tau) ** 2))
-            return np.column_stack([w * e, w * a * e * 2 * t**2 / tau**3])
+            return np.column_stack([e, a * e * 2 * t**2 / tau**3])
         e = np.exp(-t / tau)
-        return np.column_stack([w * e, w * a * e * t / tau**2])
+        return np.column_stack([e, a * e * t / tau**2])
 
     res = damped_least_squares(residual, jacobian, [a0, tau0])
     a, tau = res.params

@@ -176,25 +176,27 @@ def ramsey_scan(state, phis, pulse):
     return out
 
 
-def _by_pulse_unitary(j, pulse_peak, duration, static_bz, gamma, steps):
+_BY_PULSE_STEPS = 1000
+
+
+def _by_pulse_unitary(j, pulse_peak, duration, static_bz, gamma):
     ops = make_operators(j)
-    n = int(steps) if steps else 1000
-    dt = duration / n
+    dt = duration / _BY_PULSE_STEPS
     hz = gamma * static_bz * ops.jz
     u = np.eye(int(round(2 * j)) + 1, dtype=complex)
-    for k in range(n):
+    for k in range(_BY_PULSE_STEPS):
         t_mid = (k + 0.5) * dt
         by = pulse_peak * math.sin(math.pi * t_mid / duration) ** 2
         u = expi_hermitian(gamma * by * ops.jy + hz, dt) @ u
     return u
 
 
-def by_pulse_map(state, pulse_peak, duration, static_bz, *, g_factor=None, steps=None):
+def by_pulse_map(state, pulse_peak, duration, static_bz, *, g_factor=None):
     """Evolution under a smooth B_y pulse on top of a static B_z field.
 
     The pulse B_y(t) = pulse_peak * sin^2(pi t / duration) (tesla) adds
     to the static field static_bz along z; the state is propagated with
-    midpoint time steps no longer than duration/1000.  With the peak
+    1000 equal midpoint time steps.  With the peak
     amplitude tuned, this maps one equatorial spin direction onto +z.
     """
     from .dephasing import gyromagnetic_ratio
@@ -203,19 +205,21 @@ def by_pulse_map(state, pulse_peak, duration, static_bz, *, g_factor=None, steps
         raise ValueError("pulse duration must be positive")
     state = np.asarray(state)
     gamma = gyromagnetic_ratio(g_factor)
-    u = _by_pulse_unitary(spin_of(state), pulse_peak, duration, static_bz, gamma, steps)
+    u = _by_pulse_unitary(spin_of(state), pulse_peak, duration, static_bz, gamma)
     if state.ndim == 1:
         return u @ state
     return u @ state @ u.conj().T
 
 
-def tune_by_pulse(j, duration, static_bz, *, g_factor=None, steps=None, bracket=None):
+def tune_by_pulse(j, duration, static_bz, *, g_factor=None):
     """Peak field that makes the B_y pulse map an equatorial axis onto +z.
 
     Returns (pulse_peak, phi) where phi is the equatorial scan angle of
     the direction that is carried to +z (the pulse is a pure rotation,
     so exactly one direction is; it lies on the equator when the peak is
-    tuned right).
+    tuned right).  The peak is searched between 0.25 and 1.75 times
+    pi / (gamma duration), the peak of a quarter turn without the
+    static field.
     """
     from scipy.optimize import brentq
 
@@ -227,17 +231,16 @@ def tune_by_pulse(j, duration, static_bz, *, g_factor=None, steps=None, bracket=
     top = basis_state(j, j)
 
     def mapped_direction(peak):
-        u = _by_pulse_unitary(j, peak, duration, static_bz, gamma, steps)
+        u = _by_pulse_unitary(j, peak, duration, static_bz, gamma)
         psi = u.conj().T @ top
         return np.array(
             [float(np.real(np.vdot(psi, op @ psi))) / j for op in (ops.jx, ops.jy, ops.jz)]
         )
 
-    if bracket is None:
-        # sin^2 pulse area gamma*peak*duration/2: a quarter turn needs ~pi/2
-        scale = math.pi / (gamma * duration)
-        bracket = (0.25 * scale, 1.75 * scale)
-    peak = brentq(lambda b: mapped_direction(b)[2], *bracket, xtol=1e-18)
+    # sin^2 pulse area gamma*peak*duration/2: a quarter turn needs ~pi/2
+    scale = math.pi / (gamma * duration)
+    peak = brentq(lambda b: mapped_direction(b)[2], 0.25 * scale, 1.75 * scale,
+                  xtol=1e-18)
     nx, ny, _ = mapped_direction(peak)
     phi = (-math.atan2(ny, nx)) % (2 * math.pi)
     return peak, phi

@@ -31,6 +31,7 @@ __all__ = [
     "PhaseScan",
     "GainReport",
     "equatorial_phase_scan",
+    "sample_scan",
     "parity_curve",
     "magnetization_curve",
     "variance_curve",
@@ -38,6 +39,7 @@ __all__ = [
     "gain_from_parity",
     "parity_gain_from_contrast",
     "hellinger_distance",
+    "hellinger_window",
     "gain_from_hellinger",
     "gain_from_magnetization",
     "classical_fisher",
@@ -81,19 +83,28 @@ class PhaseScan:
 def equatorial_phase_scan(state, phis, *, atom_total=None, seed=None):
     """Equatorial scan of a state, optionally with multinomial sampling.
 
-    With `atom_total` set, each angle is sampled with its own
-    deterministic substream of `seed`.
+    With `atom_total` set, the scan is drawn by `sample_scan`.
     """
-    dists = equatorial_scan(state, phis)
+    scan = PhaseScan(phis=np.asarray(phis, float),
+                     distributions=equatorial_scan(state, phis))
     if atom_total is None:
-        return PhaseScan(phis=np.asarray(phis, float), distributions=dists)
+        return scan
+    return sample_scan(scan, atom_total, seed)
+
+
+def sample_scan(scan, atom_total, seed):
+    """Multinomial draw of atom_total atoms at every angle of a scan.
+
+    Angle i draws from its own deterministic substream(seed, i), so the
+    counts at one angle do not depend on the others.
+    """
     if seed is None:
         raise ValueError("sampling requires a seed")
     dists = [
         sample_counts(d, atom_total, substream(seed, i).integers(2**63))
-        for i, d in enumerate(dists)
+        for i, d in enumerate(scan.distributions)
     ]
-    return PhaseScan(phis=np.asarray(phis, float), distributions=dists, provenance="sampled")
+    return PhaseScan(phis=scan.phis, distributions=dists, provenance="sampled")
 
 
 def parity_curve(scan):
@@ -156,15 +167,16 @@ def _bound(j, varz_bound):
     return None if varz_bound is None else 2.0 * varz_bound / j
 
 
-def gain_from_parity(scan, *, fix_frequency=False, varz_bound=None):
+def gain_from_parity(scan, *, varz_bound=None):
     """Gain 2j*C^2 from the contrast C of the parity oscillation.
 
-    Fits C sin(2j*phi + phi0) + c to the parity curve; the frequency is
-    free by default so the fitted period can be checked against pi/j.
+    Fits C sin(k*phi + phi0) + c to the parity curve, starting from
+    k = 2j; the frequency stays free so the fitted period can be checked
+    against pi/j.
     """
     j = scan.j
     y = parity_curve(scan)
-    fit = fit_sinusoid(scan.phis, y, 2 * j, fix_frequency=fix_frequency)
+    fit = fit_sinusoid(scan.phis, y, 2 * j)
     if not fit.converged and fit.amplitude < 1e-6:
         raise RuntimeError("parity curve shows no oscillation to fit")
     contrast = min(fit.amplitude, 1.0)
@@ -196,20 +208,23 @@ def hellinger_distance(p, q):
     return math.sqrt(min(max(d2, 0.0), 1.0))
 
 
-def gain_from_hellinger(scan, phi0, *, window=None, bias_correction=None, varz_bound=None):
+def hellinger_window(j):
+    """Half-width 0.3/(2j) of the small-angle Hellinger slope fit, in rad."""
+    return 0.3 / (2 * j)
+
+
+def gain_from_hellinger(scan, phi0, *, varz_bound=None):
     """Gain from the small-angle slope of the Hellinger distance at phi0.
 
-    Fits d_H = s * |phi - phi0| through the origin within `window`
-    (default 0.3/(2j)) and normalizes by the coherent-state slope
-    sqrt(j/4), so G = s^2/(j/4).  For sampled scans the leading
-    multinomial bias (2j)/(8N) is subtracted from d_H^2 before fitting
-    (switch off with bias_correction=False).
+    Fits d_H = s * |phi - phi0| through the origin within the window
+    |phi - phi0| <= 0.3/(2j) and normalizes by the coherent-state slope
+    sqrt(j/4), so G = s^2/(j/4).  For sampled scans (provenance
+    "sampled") the leading multinomial bias (2j)/(8N) is subtracted from
+    d_H^2 before fitting.
     """
     j = scan.j
-    if window is None:
-        window = 0.3 / (2 * j)
-    if bias_correction is None:
-        bias_correction = scan.provenance == "sampled"
+    window = hellinger_window(j)
+    bias_correction = scan.provenance == "sampled"
     i0 = int(np.argmin(np.abs(scan.phis - phi0)))
     ref = scan.distributions[i0]
     dx, dh = [], []
@@ -277,11 +292,15 @@ def gain_from_magnetization(scan, *, varz_bound=None):
     )
 
 
-def classical_fisher(scan, phi, *, eps=1e-12):
+# Fisher sums drop outcomes this improbable as ill-conditioned.
+_PROBABILITY_FLOOR = 1e-12
+
+
+def classical_fisher(scan, phi):
     """Classical Fisher information F(phi) = sum (d Pi_m/dphi)^2 / Pi_m.
 
     The derivative is a centered finite difference on the scan grid;
-    outcomes with Pi_m <= eps are dropped as ill-conditioned.
+    outcomes with Pi_m <= 1e-12 are dropped as ill-conditioned.
     """
     i = int(np.argmin(np.abs(scan.phis - phi)))
     lo, hi = max(i - 1, 0), min(i + 1, len(scan.phis) - 1)
@@ -291,7 +310,7 @@ def classical_fisher(scan, phi, *, eps=1e-12):
     dp = (
         scan.distributions[hi].probabilities - scan.distributions[lo].probabilities
     ) / (scan.phis[hi] - scan.phis[lo])
-    mask = p > eps
+    mask = p > _PROBABILITY_FLOOR
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 
 
@@ -303,12 +322,13 @@ def _equatorial_probe(two_j):
     return basis
 
 
-def fisher_information(state, phi=0.0, *, eps=1e-12):
+def fisher_information(state, phi=0.0):
     """Exact Fisher information of the Larmor phase at offset phi.
 
     The state is rotated by exp(-i phi Jz) and read out in a fixed
     equatorial basis; the probability derivative is evaluated exactly
-    through d sigma/d phi = -i [Jz, sigma].
+    through d sigma/d phi = -i [Jz, sigma].  Outcomes with probability
+    at or below 1e-12 are dropped, as in `classical_fisher`.
     """
     state = np.asarray(state)
     j = spin_of(state)
@@ -320,7 +340,7 @@ def fisher_information(state, phi=0.0, *, eps=1e-12):
     dsigma = -1j * (m[:, None] - m[None, :]) * sigma
     p = np.real(np.einsum("im,ik,km->m", basis.conj(), sigma, basis))
     dp = np.real(np.einsum("im,ik,km->m", basis.conj(), dsigma, basis))
-    mask = p > eps
+    mask = p > _PROBABILITY_FLOOR
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 
 

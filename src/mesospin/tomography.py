@@ -91,9 +91,9 @@ class TomographyDataset:
         return np.array(rows)
 
 
-def default_equatorial_angles(n=33, phi0=0.0):
-    """n uniform scan angles over [phi0, phi0 + pi)."""
-    return phi0 + np.linspace(0.0, math.pi, n, endpoint=False)
+def default_equatorial_angles(n=33):
+    """n uniform scan angles over [0, pi)."""
+    return np.linspace(0.0, math.pi, n, endpoint=False)
 
 
 def synthesize_dataset(state, phis=None, *, atom_total=None, seed=None,
@@ -274,9 +274,14 @@ def _fit(design, observations, weights):
     w = np.ones(observations.size) if weights is None else np.ravel(weights)
     target = observations.ravel() - 1.0 / d
     start, _, rank, singular = np.linalg.lstsq(design, target, rcond=None)
-    # max(w) * singular[0]^2 bounds the Lipschitz constant L of the
-    # gradient, and projected steps of 1/L never raise f
-    step = 1.0 / (w.max() * singular[0] ** 2)
+    # projected steps of 1/L never raise f, with L = ||sqrt(W) D||_2^2
+    # the Lipschitz constant of the gradient; unit weights give
+    # singular[0]^2 without another decomposition
+    if weights is None:
+        lipschitz = singular[0] ** 2
+    else:
+        lipschitz = np.linalg.norm(np.sqrt(w)[:, None] * design, 2) ** 2
+    step = 1.0 / lipschitz
 
     def evaluate(rho):
         r = design @ _coordinates(rho) - target

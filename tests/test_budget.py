@@ -36,16 +36,18 @@ def ideal_budget():
     return gain_budget(cfg, ImperfectionConfig(ensemble_samples=1), seed=0)
 
 
+SMALL_CFG = CouplingConfig(omega=OMEGA, omega_larmor=2 * math.pi * 31.7e3,
+                           detuning=DETUNING, include_jx4=True)
+SMALL_IMP = ImperfectionConfig(
+    intensity_rms_fraction=0.06, stokes_s3=1e-3,
+    field_axis_components=(0.09, -0.11, 0.98), initial_leak_fraction=0.03,
+    pulse_rise_time=50e-9, scattering_probability=0.007, ensemble_samples=40,
+)
+
+
 @pytest.fixture(scope="module")
 def small_budget():
-    cfg = CouplingConfig(omega=OMEGA, omega_larmor=2 * math.pi * 31.7e3,
-                         detuning=DETUNING, include_jx4=True)
-    imp = ImperfectionConfig(
-        intensity_rms_fraction=0.06, stokes_s3=1e-3,
-        field_axis_components=(0.09, -0.11, 0.98), initial_leak_fraction=0.03,
-        pulse_rise_time=50e-9, scattering_probability=0.007, ensemble_samples=40,
-    )
-    return gain_budget(cfg, imp, seed=0)
+    return gain_budget(SMALL_CFG, SMALL_IMP, seed=0)
 
 
 def test_row_labels_and_flags(ideal_budget):
@@ -86,6 +88,12 @@ def test_small_sample_budget_magnitudes(small_budget):
     for label in ("field axis tilt", "pulse rise time"):
         row = b.row(label)
         assert row.correction == pytest.approx(row.gain - field.gain, abs=1e-12)
+
+
+def test_combined_state_is_the_ensemble_at_the_combined_pulse_time(small_budget):
+    rho = ensemble_evolve(basis_state(8, -8), SMALL_CFG, SMALL_IMP,
+                          small_budget.combined.pulse_time, seed=0)
+    assert np.array_equal(small_budget.combined_state, rho)
 
 
 def test_scheme_gains_on_ideal_superposition():

@@ -39,49 +39,50 @@ KITTEN = kitten_state(8)
 
 # rho of ensemble_evolve(basis_state(4, -4)) at the default coupling and
 # imperfections (leak, rise time and scattering on), 10 samples, seed 3,
-# computed when each starter was stepped in its own loop
+# with the pulse duration solved to rounding; the earlier duration root,
+# which missed the pulse area by 1.2e-7 relative, moved it by 2.1e-7
 _PIN_DIAGONAL = [
-    0.4727442819071437, 0.014056127631397472, 0.011207618486061761,
-    0.0004753032115705245, 0.003110992837413303, 0.001862764126239424,
-    0.015287318385327956, 0.013635520606688928, 0.467620072808157,
+    0.4727443132659508, 0.014056130589692479, 0.011207589918103255,
+    0.0004753017054741825, 0.0031109849586138127, 0.0018627587100716676,
+    0.015287275527940201, 0.013635524572987426, 0.4676201207511663,
 ]
 _PIN_UPPER = [  # row-major, above the diagonal
-    (0.0018212128344084141, 0.0016997073980912492),
-    (-0.014809744047372725, -0.03463519905660762),
-    (-0.001584737322651299, -0.00025616164966513216),
-    (-0.00040685838590495286, -8.11692709832979e-05),
-    (0.0019405286715558979, 4.686038955105956e-05),
-    (-0.054290067419664315, 0.030939189837168035),
-    (-0.0010601426600081662, -0.0007236650423472111),
-    (0.03422817299129886, -0.468889352794959),
-    (-0.00013761261035234994, -3.964645477116586e-05),
-    (-0.00029016317358072365, -0.0020909261443096184),
-    (-2.5376322801181058e-05, -1.3280018966849396e-06),
-    (-0.003055777991278001, 0.0010728828791295867),
-    (-4.271343343202429e-05, 0.00030710679420227634),
-    (-0.00010919491020631615, -0.013817393226830028),
-    (-0.0016229378248225025, -0.001983482751452341),
-    (9.034957779984084e-05, -9.59192789577279e-05),
-    (-0.004446006434771796, -0.0017691639217428863),
-    (-5.003808409055003e-05, 0.00012714031184975626),
-    (-0.0023201567837432646, -0.012216102307053764),
-    (5.712670195046893e-05, -0.0001290464464455827),
-    (0.03309116349233688, 0.01726354242216189),
-    (-1.4076831024179664e-05, -1.0106239969271717e-06),
-    (-0.0001739380165571933, -0.0008425072638153785),
-    (0.00014248578327541312, -0.00014905844099708968),
-    (0.0020223062111576974, 0.00027006257163488467),
-    (0.00014973303643033811, 0.0015835052447842003),
-    (-3.83592272679669e-06, 1.0979086230774031e-05),
-    (0.0026508928657257617, 0.003325023080155139),
-    (3.607312133809961e-06, 4.360396564753861e-05),
-    (7.0324614086357e-05, 0.0004408263704842862),
-    (-0.00021055489544789894, 0.00010717388083640173),
-    (-0.0010282502537460653, 0.002845727669525577),
-    (0.00010112862034913323, -0.001908816932572829),
-    (0.00010560597270771443, 0.00011451106069661172),
-    (-0.03474831345413567, 0.051402164818004005),
-    (0.0006939572235827014, 0.0010356726391528284),
+    (0.0018212121910155651, 0.0016997076715895667),
+    (-0.014809707109984756, -0.03463499268771821),
+    (-0.001584738288453464, -0.0002561608228703378),
+    (-0.0004068547872087403, -8.122545004559645e-05),
+    (0.0019405294255855244, 4.686085214279392e-05),
+    (-0.05428987960129841, 0.03093914828592806),
+    (-0.00106014216788557, -0.0007236641134291758),
+    (0.03422817975367658, -0.468889392087056),
+    (-0.00013761172515256546, -3.9645736454806376e-05),
+    (-0.0002901625962180278, -0.0020909192056657922),
+    (-2.5376537967493153e-05, -1.3281600956306715e-06),
+    (-0.0030557674713084636, 0.0010728804741713719),
+    (-4.271273609742369e-05, 0.0003071059226484477),
+    (-0.00010919516357873121, -0.013817396783081089),
+    (-0.001622938207968858, -0.0019834821539539116),
+    (9.03493597113352e-05, -9.591861444643945e-05),
+    (-0.00444599666364322, -0.0017691605541686074),
+    (-5.003790596877843e-05, 0.0001271394826168548),
+    (-0.002320146201396405, -0.01221606758525303),
+    (5.7126223950888096e-05, -0.0001290460176149035),
+    (0.03309096162114893, 0.017263490605064696),
+    (-1.4076811125640667e-05, -1.010407134409106e-06),
+    (-0.00017393746314584382, -0.0008425048720355912),
+    (0.00014248528055457903, -0.00014905821808122052),
+    (0.0020222994822305935, 0.0002700620115566486),
+    (0.00014973210408359414, 0.0015835061984328651),
+    (-3.83593603249168e-06, 1.09792983051014e-05),
+    (0.0026508838398081255, 0.003325014735377496),
+    (3.607320544741133e-06, 4.36038286912504e-05),
+    (7.038104126891895e-05, 0.0004408277012482827),
+    (-0.00021055414297307682, 0.00010717377101754712),
+    (-0.0010282480380181126, 0.0028457179529058733),
+    (0.00010112820742684255, -0.0019088178040716913),
+    (0.0001056056352765547, 0.00011451049549740568),
+    (-0.03474825896831668, 0.05140198223430308),
+    (0.0006939563216481168, 0.0010356720527704567),
 ]
 
 
@@ -153,6 +154,13 @@ def test_pulse_duration_preserves_integrated_area():
     assert total > area
     assert total - rise * (1 - math.exp(-total / rise)) == pytest.approx(area, abs=1e-12)
     assert _pulse_duration(area, 0.0) == area
+    # pulse areas of 50 ns - 1 us (the default coupling's is 126 ns) and
+    # rise times of 1 - 200 ns meet the area to rounding
+    for area in (5e-8, 1e-7, T_KITTEN, 2.5e-7, 5e-7, 1e-6):
+        for rise in (1e-9, 1e-8, 2e-8, 5e-8, 1e-7, 2e-7):
+            total = _pulse_duration(area, rise)
+            gap = total + rise * math.expm1(-total / rise) - area
+            assert abs(gap) <= 1e-14 * area, (area, rise)
 
 
 def test_full_imperfection_set_revival_window():

@@ -15,7 +15,7 @@ def test_damped_least_squares_on_rosenbrock_residual():
     def jacobian(p):
         return np.array([[-20.0 * p[0], 10.0], [-1.0, 0.0]])
 
-    res = damped_least_squares(residual, jacobian, [-1.2, 1.0], max_iter=500)
+    res = damped_least_squares(residual, jacobian, [-1.2, 1.0])
     assert res.converged
     assert np.allclose(res.params, [1.0, 1.0], atol=1e-6)
     hist = np.array(res.objective_history)
@@ -74,33 +74,12 @@ def test_sinusoid_recovers_from_detuned_guess():
     assert fit.amplitude == pytest.approx(1.5, rel=1e-6)
 
 
-def test_sinusoid_fix_frequency():
-    x = np.linspace(0.0, 2 * math.pi, 200)
-    y = 2.0 * np.sin(16 * x) + 0.1
-    fit = fit_sinusoid(x, y, 16.0, fix_frequency=True)
-    assert fit.frequency == 16.0
-    assert fit.covariance[1, 1] == 0.0
-    assert fit.amplitude == pytest.approx(2.0, abs=1e-9)
-
-
 def test_sinusoid_amplitude_is_non_negative():
     x = np.linspace(0.0, 2 * math.pi, 200)
     y = -2.0 * np.sin(16 * x)
     fit = fit_sinusoid(x, y, 16.0)
     assert fit.amplitude == pytest.approx(2.0, abs=1e-9)
     assert abs(fit.phase) == pytest.approx(math.pi, abs=1e-6)
-
-
-def test_sinusoid_weights_suppress_corrupted_point():
-    x = np.linspace(0.0, 2 * math.pi, 200)
-    y = 2.0 * np.sin(16 * x) + 0.5
-    y_bad = y.copy()
-    y_bad[77] += 50.0
-    weights = np.ones_like(y)
-    weights[77] = 0.0
-    fit = fit_sinusoid(x, y_bad, 16.0, weights=weights)
-    assert fit.amplitude == pytest.approx(2.0, abs=1e-8)
-    assert fit.offset == pytest.approx(0.5, abs=1e-8)
 
 
 def test_decay_exact_recovery_both_models():

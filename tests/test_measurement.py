@@ -178,7 +178,7 @@ def test_by_pulse_tuning_maps_equator_to_pole():
 
 
 def test_by_pulse_map_is_unitary_and_validates_duration():
-    psi = by_pulse_map(basis_state(8, 8, X_AXIS), 1e-5, 3e-6, 1.85e-6, steps=200)
+    psi = by_pulse_map(basis_state(8, 8, X_AXIS), 1e-5, 3e-6, 1.85e-6)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         by_pulse_map(basis_state(8, 8), 1e-5, 0.0, 1.85e-6)

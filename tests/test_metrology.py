@@ -24,6 +24,7 @@ from mesospin import (
     parity_gain_from_contrast,
     phase_uncertainty,
     projection_probs,
+    sample_scan,
     sql_phase_uncertainty,
     variance_bound,
 )
@@ -59,8 +60,11 @@ def test_sampled_scan_is_deterministic_and_needs_seed():
     s2 = equatorial_phase_scan(KITTEN, phis, atom_total=1000, seed=5)
     assert s1.provenance == "sampled"
     assert s1.atom_total == 1000
-    for d1, d2 in zip(s1.distributions, s2.distributions):
+    # sampling an exact scan afterwards draws the same counts
+    s3 = sample_scan(equatorial_phase_scan(KITTEN, phis), 1000, 5)
+    for d1, d2, d3 in zip(s1.distributions, s2.distributions, s3.distributions):
         assert np.array_equal(d1.counts, d2.counts)
+        assert np.array_equal(d1.counts, d3.counts)
     with pytest.raises(ValueError):
         equatorial_phase_scan(KITTEN, phis, atom_total=1000)
 
@@ -129,9 +133,12 @@ def test_hellinger_gain_needs_fine_scan():
 
 
 def test_hellinger_bias_correction_needs_atom_total():
-    scan = equatorial_phase_scan(KITTEN, _hellinger_grid())
+    exact = equatorial_phase_scan(KITTEN, _hellinger_grid())
+    # marked sampled, but without counts to size the bias correction
+    scan = PhaseScan(phis=exact.phis, distributions=exact.distributions,
+                     provenance="sampled")
     with pytest.raises(ValueError):
-        gain_from_hellinger(scan, 0.0, bias_correction=True)
+        gain_from_hellinger(scan, 0.0)
 
 
 def test_sampled_hellinger_gain_near_ideal():
