@@ -32,7 +32,6 @@ from .metrology import (
     gain_from_magnetization,
     gain_from_parity,
     hellinger_window,
-    variance_bound,
 )
 
 __all__ = [
@@ -202,7 +201,7 @@ def measurement_scheme_gains(state):
     j = spin_of(state)
     ops = make_operators(j)
     varz = spin_variance(ops.jz, state)
-    bound = variance_bound(state)
+    bound = 2.0 * varz / j
 
     period = math.pi / j
     phis = np.linspace(0.0, period, 65)

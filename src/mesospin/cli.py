@@ -300,79 +300,54 @@ def _imperfect_state(cfg):
                            cfg.kitten_pulse_time(), cfg.seed)
 
 
-def _distribution_records(scan_exact, scan_sampled, j):
+def _write_scan_gain(cfg, name, method, scan, scan_sampled, report, summary):
+    """Exact and sampled scan distributions as `name`, plus the fit's gain,
+    merged into the fig3c method table as the `method` row."""
     records = []
-    for i, phi in enumerate(scan_exact.phis):
-        exact = scan_exact.distributions[i].probabilities
+    for i, phi in enumerate(scan.phis):
+        exact = scan.distributions[i].probabilities
         sampled = scan_sampled.distributions[i].probabilities
-        for k, m in enumerate(range(-int(j), int(j) + 1)):
+        for k, m in enumerate(range(-int(cfg.j), int(cfg.j) + 1)):
             records.append([float(phi), m, float(exact[k]), float(sampled[k])])
-    return records
+    summary = {**summary, "period_rad": report.fit.period, "gain": report.gain,
+               "gain_uncertainty": report.uncertainty, "bound": report.bound}
+    write_artifact(cfg, name,
+                   [("phi", "rad"), ("m", "hbar"), ("pi_exact", "1"),
+                    ("pi_sampled", "1")], records, summary)
+    write_artifact(cfg, "fig3c",
+                   [("method", ""), ("gain", "1"), ("uncertainty", "1"),
+                    ("bound", "1")],
+                   [[method, report.gain, report.uncertainty, report.bound]],
+                   {f"{method}_gain": report.gain,
+                    f"{method}_uncertainty": report.uncertainty},
+                   merge=True)
 
 
 def cmd_parity(cfg):
     """Equatorial scan of the superposition with its parity metrology."""
-    j = cfg.j
     rho = _imperfect_state(cfg)
-    phis = np.linspace(0.0, math.pi / j, 65)
+    phis = np.linspace(0.0, math.pi / cfg.j, 65)
     scan = equatorial_phase_scan(rho, phis)
-    scan_sampled = equatorial_phase_scan(rho, phis, atom_total=cfg.atom_total,
-                                         seed=cfg.seed)
+    scan_sampled = sample_scan(scan, cfg.atom_total, cfg.seed)
     varz = variance(projection_probs(rho))
     report = gain_from_parity(scan_sampled, varz_bound=varz)
-
-    records = _distribution_records(scan, scan_sampled, j)
-    summary = {
-        "contrast": report.fit.amplitude,
-        "period_rad": report.fit.period,
-        "gain": report.gain,
-        "gain_uncertainty": report.uncertainty,
-        "bound": report.bound,
-        "parity_first_point": float(parity_curve(scan)[0]),
-    }
-    write_artifact(cfg, "fig3a",
-                   [("phi", "rad"), ("m", "hbar"), ("pi_exact", "1"),
-                    ("pi_sampled", "1")], records, summary)
-    write_artifact(cfg, "fig3c",
-                   [("method", ""), ("gain", "1"), ("uncertainty", "1"),
-                    ("bound", "1")],
-                   [["parity", report.gain, report.uncertainty, report.bound]],
-                   {"parity_gain": report.gain,
-                    "parity_uncertainty": report.uncertainty},
-                   merge=True)
+    _write_scan_gain(cfg, "fig3a", "parity", scan, scan_sampled, report,
+                     {"contrast": report.fit.amplitude,
+                      "parity_first_point": float(parity_curve(scan)[0])})
 
 
 def cmd_ramsey(cfg):
     """Second twisting pulse after a Larmor phase, read out along z."""
-    j = cfg.j
     rho = _imperfect_state(cfg)
-    ops = make_operators(j)
+    ops = make_operators(cfg.j)
     pulse = expi_hermitian(ops.jx @ ops.jx, math.pi / 2.0)
-    phis = np.linspace(0.0, math.pi / j, 65)
+    phis = np.linspace(0.0, math.pi / cfg.j, 65)
     scan = PhaseScan(phis=phis, distributions=ramsey_scan(rho, phis, pulse))
     scan_sampled = sample_scan(scan, cfg.atom_total, cfg.seed)
     varz = variance(projection_probs(rho))
     report = gain_from_magnetization(scan_sampled, varz_bound=varz)
-
-    records = _distribution_records(scan, scan_sampled, j)
-    summary = {
-        "amplitude": report.fit.amplitude,
-        "period_rad": report.fit.period,
-        "gain": report.gain,
-        "gain_uncertainty": report.uncertainty,
-        "bound": report.bound,
-    }
-    write_artifact(cfg, "fig3b",
-                   [("phi", "rad"), ("m", "hbar"), ("pi_exact", "1"),
-                    ("pi_sampled", "1")], records, summary)
-    write_artifact(cfg, "fig3c",
-                   [("method", ""), ("gain", "1"), ("uncertainty", "1"),
-                    ("bound", "1")],
-                   [["magnetization", report.gain, report.uncertainty,
-                     report.bound]],
-                   {"magnetization_gain": report.gain,
-                    "magnetization_uncertainty": report.uncertainty},
-                   merge=True)
+    _write_scan_gain(cfg, "fig3b", "magnetization", scan, scan_sampled, report,
+                     {"amplitude": report.fit.amplitude})
 
 
 def cmd_hellinger(cfg):

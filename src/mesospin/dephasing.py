@@ -11,7 +11,8 @@ projections fragile: their n = 2j coherence dies (2j) or (2j)^2 times
 faster than a coherent state's.
 
 The field generated by the atoms themselves (an order of magnitude
-below the applied noise) is not modeled.
+below the applied noise) is not modeled.  The gyromagnetic ratio uses
+the CODATA 2022 Bohr magneton and the exact SI value of hbar.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, physical_constants
 
 from .core import spin_of
+from .dynamics import HBAR
 from .fitting import fit_decay
 from .rng import substream
 
@@ -39,7 +40,7 @@ __all__ = [
     "ScalingIdentityReport",
 ]
 
-_BOHR_MAGNETON = physical_constants["Bohr magneton"][0]
+_BOHR_MAGNETON = 9.2740100657e-24  # J/T, CODATA 2022 recommended value
 
 # Lande factor giving a magnetic moment of g_J * J ~ 10 Bohr magnetons
 # for J = 8; configurable wherever it enters.
@@ -50,7 +51,7 @@ def gyromagnetic_ratio(g_factor=None):
     """Angular precession rate per field, mu_B g_J / hbar, in rad/(s T)."""
     if g_factor is None:
         g_factor = DEFAULT_G_FACTOR
-    return _BOHR_MAGNETON * g_factor / hbar
+    return _BOHR_MAGNETON * g_factor / HBAR
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import constants
 
 from .core import (
     Direction,
@@ -23,9 +22,7 @@ from .core import (
     dimension,
     expi_hermitian,
     m_values,
-    make_operators,
     _two_j,
-    _unit_vector,
 )
 
 __all__ = [
@@ -44,6 +41,9 @@ __all__ = [
     "coupling_rate",
     "intensity_for_coupling",
 ]
+
+SPEED_OF_LIGHT = 299792458.0  # m/s, exact in SI
+HBAR = 6.62607015e-34 / (2 * math.pi)  # J s, exact in SI
 
 
 @dataclass(frozen=True)
@@ -219,11 +219,10 @@ def elliptical_polarization(epsilon):
 
 def _v0_over_hbar(p: LightShiftParams):
     # V0/hbar = 3 pi c^2 Gamma I / (2 hbar w0^3 Delta); negative for red detuning
-    c = constants.c
-    omega0 = 2 * np.pi * c / p.resonance_wavelength
+    omega0 = 2 * np.pi * SPEED_OF_LIGHT / p.resonance_wavelength
     return (
-        3 * np.pi * c**2 * p.linewidth * p.intensity
-        / (2 * constants.hbar * omega0**3 * p.detuning)
+        3 * np.pi * SPEED_OF_LIGHT**2 * p.linewidth * p.intensity
+        / (2 * HBAR * omega0**3 * p.detuning)
     )
 
 
@@ -262,12 +261,11 @@ def intensity_for_coupling(omega, linewidth, wavelength, detuning, j):
 
     Positive omega requires red detuning (detuning < 0).
     """
-    c = constants.c
-    omega0 = 2 * np.pi * c / wavelength
+    omega0 = 2 * np.pi * SPEED_OF_LIGHT / wavelength
     intensity = (
         -omega * (j + 1) * (2 * j + 1)
-        * 2 * constants.hbar * omega0**3 * detuning
-        / (3 * np.pi * c**2 * linewidth)
+        * 2 * HBAR * omega0**3 * detuning
+        / (3 * np.pi * SPEED_OF_LIGHT**2 * linewidth)
     )
     if intensity < 0:
         raise ValueError("requested coupling sign is inconsistent with the detuning")

@@ -17,11 +17,13 @@ import numpy as np
 
 from .core import (
     Direction,
+    basis_state,
     expi_hermitian,
     m_values,
     make_operators,
     spin_of,
 )
+from .dephasing import gyromagnetic_ratio
 from .rng import substream
 
 __all__ = [
@@ -199,8 +201,6 @@ def by_pulse_map(state, pulse_peak, duration, static_bz, *, g_factor=None):
     1000 equal midpoint time steps.  With the peak
     amplitude tuned, this maps one equatorial spin direction onto +z.
     """
-    from .dephasing import gyromagnetic_ratio
-
     if duration <= 0:
         raise ValueError("pulse duration must be positive")
     state = np.asarray(state)
@@ -219,13 +219,8 @@ def tune_by_pulse(j, duration, static_bz, *, g_factor=None):
     so exactly one direction is; it lies on the equator when the peak is
     tuned right).  The peak is searched between 0.25 and 1.75 times
     pi / (gamma duration), the peak of a quarter turn without the
-    static field.
+    static field, by regula falsi with the Illinois modification.
     """
-    from scipy.optimize import brentq
-
-    from .core import basis_state
-    from .dephasing import gyromagnetic_ratio
-
     gamma = gyromagnetic_ratio(g_factor)
     ops = make_operators(j)
     top = basis_state(j, j)
@@ -239,8 +234,22 @@ def tune_by_pulse(j, duration, static_bz, *, g_factor=None):
 
     # sin^2 pulse area gamma*peak*duration/2: a quarter turn needs ~pi/2
     scale = math.pi / (gamma * duration)
-    peak = brentq(lambda b: mapped_direction(b)[2], 0.25 * scale, 1.75 * scale,
-                  xtol=1e-18)
+    # b is the newest iterate and a the other end of the bracket; an end
+    # that is kept has its value halved (Illinois)
+    a, b = 0.25 * scale, 1.75 * scale
+    f_a, f_b = mapped_direction(a)[2], mapped_direction(b)[2]
+    if f_a * f_b > 0:
+        raise ValueError("the peak search bracket holds no sign change")
+    while True:
+        peak = float(b - f_b * (b - a) / (f_b - f_a))
+        if abs(b - a) <= 1e-18 or not min(a, b) < peak < max(a, b):
+            break
+        f_peak = mapped_direction(peak)[2]
+        if f_peak * f_b < 0:
+            a, f_a = b, f_b
+        else:
+            f_a /= 2
+        b, f_b = peak, f_peak
     nx, ny, _ = mapped_direction(peak)
     phi = (-math.atan2(ny, nx)) % (2 * math.pi)
     return peak, phi

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import expi_hermitian, m_values, make_operators, spin_of, spin_variance
+from .core import m_values, make_operators, spin_of, spin_variance
 from .fitting import fit_sinusoid
 from .measurement import (
+    _polar_rotation,
     equatorial_scan,
     magnetization,
     parity,
@@ -314,14 +314,6 @@ def classical_fisher(scan, phi):
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 
 
-@lru_cache(maxsize=None)
-def _equatorial_probe(two_j):
-    ops = make_operators(two_j / 2.0)
-    basis = expi_hermitian(ops.jy, math.pi / 2)
-    basis.setflags(write=False)
-    return basis
-
-
 def fisher_information(state, phi=0.0):
     """Exact Fisher information of the Larmor phase at offset phi.
 
@@ -334,7 +326,7 @@ def fisher_information(state, phi=0.0):
     j = spin_of(state)
     rho = state if state.ndim == 2 else np.outer(state, state.conj())
     m = m_values(j)
-    basis = _equatorial_probe(int(round(2 * j)))
+    basis = _polar_rotation(int(round(2 * j)), math.pi / 2)
     rz = np.exp(-1j * phi * m)
     sigma = (rz[:, None] * rho) * rz.conj()[None, :]
     dsigma = -1j * (m[:, None] - m[None, :]) * sigma

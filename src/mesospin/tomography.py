@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import sphere_integral, spherical_harmonic, tensor_operator
-from .core import Direction, Z_AXIS, spin_of
+from .angular import spherical_harmonic, tensor_operator
+from .core import Z_AXIS, spin_of
 from .measurement import (
     ProjectionDistribution,
+    _axis_basis,
     equatorial_direction,
     projection_probs,
     sample_counts,
@@ -173,8 +174,6 @@ def dataset_from_json(doc):
 
 
 def _setting_bases(j, settings):
-    from .measurement import _axis_basis
-
     return np.stack([_axis_basis(j, ax)[0].conj().T for ax in settings])
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from sympy import N as sym_eval
-from sympy import Rational
+from sympy import Rational, Ynm, symbols
 from sympy.physics.quantum.cg import CG
 
 from mesospin import (
@@ -104,6 +104,17 @@ def test_spherical_harmonics_low_rank_closed_forms():
         plus = spherical_harmonic(ell, q, theta, phi)
         minus = spherical_harmonic(ell, -q, theta, phi)
         assert minus == pytest.approx((-1) ** q * np.conj(plus), abs=1e-13)
+
+
+def test_spherical_harmonics_match_symbolic_reference():
+    theta, phi = symbols("theta phi")
+    for ell in range(17):
+        for q in range(ell + 1):
+            closed_form = Ynm(ell, q, theta, phi).expand(func=True)
+            for t, p in ((0.7, 1.3), (2.9, -0.4)):
+                want = complex(closed_form.evalf(30, subs={theta: t, phi: p}))
+                got = spherical_harmonic(ell, q, t, p)
+                assert got == pytest.approx(want, abs=1e-13), (ell, q, t)
 
 
 def test_clenshaw_curtis_integrates_polynomials_exactly():

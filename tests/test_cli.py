@@ -8,10 +8,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mesospin
 from mesospin import kitten_state
 from mesospin.cli import main
 from mesospin.config import config_to_json, default_config
@@ -244,3 +247,17 @@ def test_tomo_with_external_dataset(config_path, tmp_path):
     wigner_lines = (out / "fig4.wigner.csv").read_text().splitlines()
     assert wigner_lines[0] == "theta (rad),phi (rad),w (1)"
     assert len(wigner_lines) == 1 + 91 * 180
+
+
+def test_cli_imports_no_third_party_package_but_numpy():
+    # numpy is the only runtime dependency; a fresh interpreter shows
+    # every module the console script pulls in beyond numpy itself
+    src = os.path.dirname(os.path.dirname(mesospin.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, numpy; before = set(sys.modules); import mesospin.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(new - set(sys.stdlib_module_names)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "['mesospin']"

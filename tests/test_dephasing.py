@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.constants import hbar, physical_constants
 
 from mesospin import (
     DecayCurve,
@@ -25,7 +24,9 @@ MARKOV = NoiseModel.markovian_from_time(TAU0)
 
 
 def test_gyromagnetic_ratio_definition():
-    mu_b = physical_constants["Bohr magneton"][0]
+    # CODATA 2022 Bohr magneton (J/T) and the exact SI h/(2 pi) (J s)
+    mu_b = 9.2740100657e-24
+    hbar = 6.62607015e-34 / (2 * math.pi)
     assert gyromagnetic_ratio() == pytest.approx(1.2416 * mu_b / hbar, rel=1e-12)
     assert gyromagnetic_ratio(2.4832) == pytest.approx(2 * gyromagnetic_ratio(), rel=1e-12)
 
