@@ -3,7 +3,7 @@
 Library for a single large spin (j = 8 by default) evolving under a
 one-axis twisting interaction, covering exact and approximate
 collapse-and-revival dynamics, projection-noise metrology of the
-extreme superposition state, maximum-likelihood state reconstruction,
+extreme superposition state, convex least-squares state reconstruction,
 field-noise dephasing models, and an imperfection budget for the
 metrological gain.
 """

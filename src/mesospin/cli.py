@@ -37,6 +37,7 @@ from .dynamics import (
     gaussian_mz,
     gaussian_varz,
     kitten_state,
+    oat_closed_form,
 )
 from .ensemble import _ensemble_density, _imperfection_draws, ensemble_evolve
 from .fitting import fit_decay
@@ -212,20 +213,12 @@ def write_artifact(cfg, name, columns, records, summary, *, merge=False,
 # ---------------------------------------------------------------- commands
 
 
-def _twist_states(j, grid):
-    """Ideal twisting evolution |psi(omega t)> for every grid value."""
-    ops = make_operators(j)
-    w, v = np.linalg.eigh(ops.jx @ ops.jx)
-    amp0 = v.conj().T @ basis_state(j, -j)
-    return [(v * np.exp(-1j * w * g)) @ amp0 for g in grid]
-
-
 def cmd_evolve(cfg):
     """Collapse-and-revival curves with analytic and Gaussian oracles."""
     j = cfg.j
     omega = cfg.coupling.omega
     grid = np.linspace(0.0, 2.0 * math.pi, 161)
-    states = _twist_states(j, grid)
+    states = [oat_closed_form(j, g) for g in grid]
 
     imp = cfg.imperfections
     coupling = replace(cfg.coupling, include_jx4=False)
@@ -389,16 +382,32 @@ def cmd_hellinger(cfg):
                    records, summary)
 
 
+class _InputError(Exception):
+    """A malformed auxiliary input file: a configuration error."""
+
+
+def _read_dataset(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    try:
+        return dataset_from_json(doc)
+    except (KeyError, TypeError) as exc:
+        raise _InputError(f"malformed dataset {path}: {exc!r}") from exc
+
+
 def cmd_tomo(cfg, dataset_path=None):
-    """Density-matrix reconstruction and coherence-decay analysis."""
-    j = cfg.j
-    truth = kitten_state(j)
+    """Density-matrix reconstruction and coherence-decay analysis.
+
+    A dataset read from `dataset_path` carries its own j, which then
+    replaces the configured one.
+    """
     if dataset_path is None:
+        truth = kitten_state(cfg.j)
         data = synthesize_dataset(truth, atom_total=cfg.atom_total,
                                   seed=cfg.seed)
     else:
-        with open(dataset_path, "r", encoding="utf-8") as handle:
-            data = dataset_from_json(json.load(handle))
+        data = _read_dataset(dataset_path)
+    j = data.j
     fit = fit_density_matrix(data)
     if not fit.converged:
         raise RuntimeError(
@@ -586,7 +595,7 @@ def main(argv=None):
             cmd_tomo(cfg, dataset_path=args.dataset)
         elif args.command == "budget":
             cmd_budget(cfg)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, _InputError) as exc:
         # unreadable or unparseable auxiliary inputs are configuration
         # problems, not computation failures
         print(f"configuration error: {exc}", file=sys.stderr)

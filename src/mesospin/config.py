@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .dephasing import DEFAULT_G_FACTOR, NoiseModel
+from .dephasing import NoiseModel
 from .dynamics import CouplingConfig
 from .ensemble import ImperfectionConfig
 
@@ -29,7 +29,48 @@ __all__ = [
     "apply_overrides",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# One (JSON key, attribute, type) row per setting.  The tables are the
+# only place a key is named: writing, reading and the unknown/missing
+# key check all follow them.  A `tuple` setting may be null.
+_RUN_KEYS = (
+    ("j", "j", float),
+    ("atom_total", "atom_total", int),
+    ("seed", "seed", int),
+)
+_COUPLING_KEYS = (
+    ("omega_rad_per_s", "omega", float),
+    ("omega_larmor_rad_per_s", "omega_larmor", float),
+    ("detuning_rad_per_s", "detuning", float),
+    ("include_jx4", "include_jx4", bool),
+)
+_IMPERFECTION_KEYS = (
+    ("intensity_rms_fraction", "intensity_rms_fraction", float),
+    ("stokes_s3", "stokes_s3", float),
+    ("field_axis_components", "field_axis_components", tuple),
+    ("initial_leak_fraction", "initial_leak_fraction", float),
+    ("pulse_rise_time_s", "pulse_rise_time", float),
+    ("scattering_probability", "scattering_probability", float),
+    ("ensemble_samples", "ensemble_samples", int),
+    ("sampling", "sampling", str),
+    ("cloud_sigma_m", "cloud_sigma", float),
+    ("beam_waist_m", "beam_waist", float),
+    ("beam_divergence_rad", "beam_divergence", float),
+)
+_OUTPUT_KEYS = (
+    ("directory", "out_dir", str),
+    ("format", "out_format", str),
+)
+# noise kind -> (JSON key, attribute) of its scale, and the model of a
+# given 1/e time, which "coherence_time_s" sets in place of the scale
+_NOISE_SCALES = {
+    "static-gaussian": ("rms_field_t", "rms_field",
+                        NoiseModel.static_from_time),
+    "markovian": ("diffusion_t2_s", "diffusion",
+                  NoiseModel.markovian_from_time),
+}
+_SECTIONS = ("coupling", "imperfections", "noise", "output")
 
 
 @dataclass(frozen=True)
@@ -38,8 +79,6 @@ class RunConfig:
 
     j: float
     coupling: CouplingConfig
-    linewidth: float
-    resonance_wavelength: float
     imperfections: ImperfectionConfig
     noise: NoiseModel
     atom_total: int
@@ -87,8 +126,6 @@ def default_config():
     return RunConfig(
         j=8.0,
         coupling=coupling,
-        linewidth=0.85e6,
-        resonance_wavelength=626e-9,
         imperfections=imperfections,
         noise=noise,
         atom_total=90000,
@@ -96,140 +133,99 @@ def default_config():
     )
 
 
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _write(obj, table):
+    return {key: _plain(getattr(obj, attr)) for key, attr, _ in table}
+
+
 def config_to_json(cfg):
     """JSON document for a RunConfig, with unit-suffixed keys."""
-    imp = cfg.imperfections
-    noise = {"kind": cfg.noise.kind, "g_factor": cfg.noise.g_factor}
-    if cfg.noise.kind == "static-gaussian":
-        noise["rms_field_t"] = cfg.noise.rms_field
-    else:
-        noise["diffusion_t2_s"] = cfg.noise.diffusion
+    key, attr, _ = _NOISE_SCALES[cfg.noise.kind]
     return {
         "schema_version": SCHEMA_VERSION,
-        "j": cfg.j,
-        "coupling": {
-            "omega_rad_per_s": cfg.coupling.omega,
-            "omega_larmor_rad_per_s": cfg.coupling.omega_larmor,
-            "detuning_rad_per_s": cfg.coupling.detuning,
-            "include_jx4": cfg.coupling.include_jx4,
-        },
-        "light": {
-            "linewidth_per_s": cfg.linewidth,
-            "resonance_wavelength_m": cfg.resonance_wavelength,
-        },
-        "imperfections": {
-            "intensity_rms_fraction": imp.intensity_rms_fraction,
-            "stokes_s3": imp.stokes_s3,
-            "field_axis_components": list(imp.field_axis_components)
-            if imp.field_axis_components is not None else None,
-            "initial_leak_fraction": imp.initial_leak_fraction,
-            "pulse_rise_time_s": imp.pulse_rise_time,
-            "scattering_probability": imp.scattering_probability,
-            "ensemble_samples": imp.ensemble_samples,
-            "sampling": imp.sampling,
-            "cloud_sigma_m": imp.cloud_sigma,
-            "beam_waist_m": imp.beam_waist,
-            "beam_divergence_rad": imp.beam_divergence,
-        },
-        "noise": noise,
-        "atom_total": cfg.atom_total,
-        "seed": cfg.seed,
-        "output": {"directory": cfg.out_dir, "format": cfg.out_format},
+        **_write(cfg, _RUN_KEYS),
+        "coupling": _write(cfg.coupling, _COUPLING_KEYS),
+        "imperfections": _write(cfg.imperfections, _IMPERFECTION_KEYS),
+        "noise": {"kind": cfg.noise.kind, key: getattr(cfg.noise, attr)},
+        "output": _write(cfg, _OUTPUT_KEYS),
     }
 
 
-def _take(section, name, keys):
-    unknown = set(section) - set(keys)
+def _keys(table):
+    return [key for key, _, _ in table]
+
+
+def _take(section, name, required, allowed=None):
+    if not isinstance(section, dict):
+        raise ValueError(f"'{name}' must be a JSON object")
+    unknown = set(section) - set(required if allowed is None else allowed)
     if unknown:
         raise ValueError(f"unknown keys in '{name}': {sorted(unknown)}")
-    missing = set(keys) - set(section)
+    missing = set(required) - set(section)
     if missing:
         raise ValueError(f"missing keys in '{name}': {sorted(missing)}")
 
 
+def _convert(value, kind, key):
+    if kind is tuple:
+        return None if value is None else tuple(value)
+    # bool("false") is True: a string must not switch a setting on
+    if kind in (str, bool) and not isinstance(value, kind):
+        raise ValueError(f"'{key}' must be of JSON type "
+                         f"{'string' if kind is str else 'boolean'}")
+    return kind(value)
+
+
+def _values(section, table):
+    """Attribute values of the table's keys present in `section`."""
+    return {attr: _convert(section[key], kind, key)
+            for key, attr, kind in table if key in section}
+
+
 def _noise_from_json(doc):
+    scale_keys = [row[0] for row in _NOISE_SCALES.values()]
+    scale_keys.append("coherence_time_s")
+    _take(doc, "noise", (), ["kind", *scale_keys])
     kind = doc.get("kind", "static-gaussian")
-    g_factor = doc.get("g_factor", DEFAULT_G_FACTOR)
-    scales = [k for k in ("rms_field_t", "diffusion_t2_s", "coherence_time_s")
-              if k in doc]
+    if kind not in _NOISE_SCALES:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    scales = [key for key in doc if key != "kind"]
     if len(scales) != 1:
-        raise ValueError("noise needs exactly one of rms_field_t, "
-                         "diffusion_t2_s, coherence_time_s")
-    unknown = set(doc) - {"kind", "g_factor", scales[0]}
-    if unknown:
-        raise ValueError(f"unknown keys in 'noise': {sorted(unknown)}")
-    key = scales[0]
-    if key == "coherence_time_s":
-        maker = (NoiseModel.static_from_time if kind == "static-gaussian"
-                 else NoiseModel.markovian_from_time)
-        return maker(doc[key], g_factor=g_factor)
-    if key == "rms_field_t":
-        if kind != "static-gaussian":
-            raise ValueError("rms_field_t applies to static-gaussian noise")
-        return NoiseModel.static(doc[key], g_factor=g_factor)
-    if kind != "markovian":
-        raise ValueError("diffusion_t2_s applies to markovian noise")
-    return NoiseModel.markovian(doc[key], g_factor=g_factor)
+        raise ValueError(f"noise needs exactly one of {', '.join(scale_keys)}")
+    key, attr, from_time = _NOISE_SCALES[kind]
+    value = float(doc[scales[0]])
+    if scales[0] == "coherence_time_s":
+        return from_time(value)
+    if scales[0] != key:
+        raise ValueError(f"{scales[0]} does not apply to {kind} noise")
+    return NoiseModel(kind=kind, **{attr: value})
 
 
 def config_from_json(doc):
     """Parse and validate a configuration document."""
     if not isinstance(doc, dict):
         raise ValueError("configuration must be a JSON object")
-    doc = dict(doc)
-    doc.setdefault("output", {})
-    _take(doc, "config", ["schema_version", "j", "coupling", "light",
-                          "imperfections", "noise", "atom_total", "seed",
-                          "output"])
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {doc['schema_version']}")
-    cp = doc["coupling"]
-    _take(cp, "coupling", ["omega_rad_per_s", "omega_larmor_rad_per_s",
-                           "detuning_rad_per_s", "include_jx4"])
-    coupling = CouplingConfig(
-        omega=float(cp["omega_rad_per_s"]),
-        omega_larmor=float(cp["omega_larmor_rad_per_s"]),
-        detuning=float(cp["detuning_rad_per_s"]),
-        include_jx4=bool(cp["include_jx4"]),
-    )
-    lt = doc["light"]
-    _take(lt, "light", ["linewidth_per_s", "resonance_wavelength_m"])
-    im = doc["imperfections"]
-    _take(im, "imperfections", [
-        "intensity_rms_fraction", "stokes_s3", "field_axis_components",
-        "initial_leak_fraction", "pulse_rise_time_s", "scattering_probability",
-        "ensemble_samples", "sampling", "cloud_sigma_m", "beam_waist_m",
-        "beam_divergence_rad",
-    ])
-    axis = im["field_axis_components"]
-    imperfections = ImperfectionConfig(
-        intensity_rms_fraction=float(im["intensity_rms_fraction"]),
-        stokes_s3=float(im["stokes_s3"]),
-        field_axis_components=None if axis is None else tuple(axis),
-        initial_leak_fraction=float(im["initial_leak_fraction"]),
-        pulse_rise_time=float(im["pulse_rise_time_s"]),
-        scattering_probability=float(im["scattering_probability"]),
-        ensemble_samples=int(im["ensemble_samples"]),
-        sampling=im["sampling"],
-        cloud_sigma=float(im["cloud_sigma_m"]),
-        beam_waist=float(im["beam_waist_m"]),
-        beam_divergence=float(im["beam_divergence_rad"]),
-    )
-    out = doc.get("output") or {}
-    unknown = set(out) - {"directory", "format"}
-    if unknown:
-        raise ValueError(f"unknown keys in 'output': {sorted(unknown)}")
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {version!r} "
+                         f"(expected {SCHEMA_VERSION})")
+    doc = {"output": {}, **doc}
+    _take(doc, "config", ["schema_version", *_SECTIONS, *_keys(_RUN_KEYS)])
+    coupling, imperfections = doc["coupling"], doc["imperfections"]
+    output = doc["output"] or {}
+    _take(coupling, "coupling", _keys(_COUPLING_KEYS))
+    _take(imperfections, "imperfections", _keys(_IMPERFECTION_KEYS))
+    _take(output, "output", (), _keys(_OUTPUT_KEYS))
     return RunConfig(
-        j=float(doc["j"]),
-        coupling=coupling,
-        linewidth=float(lt["linewidth_per_s"]),
-        resonance_wavelength=float(lt["resonance_wavelength_m"]),
-        imperfections=imperfections,
+        coupling=CouplingConfig(**_values(coupling, _COUPLING_KEYS)),
+        imperfections=ImperfectionConfig(
+            **_values(imperfections, _IMPERFECTION_KEYS)),
         noise=_noise_from_json(doc["noise"]),
-        atom_total=int(doc["atom_total"]),
-        seed=int(doc["seed"]),
-        out_dir=out.get("directory", "."),
-        out_format=out.get("format", "csv"),
+        **_values(doc, _RUN_KEYS),
+        **_values(output, _OUTPUT_KEYS),
     )
 
 

@@ -28,7 +28,7 @@ from .fitting import fit_decay
 from .rng import substream
 
 __all__ = [
-    "DEFAULT_G_FACTOR",
+    "G_FACTOR",
     "gyromagnetic_ratio",
     "NoiseModel",
     "DecayCurve",
@@ -42,16 +42,14 @@ __all__ = [
 
 _BOHR_MAGNETON = 9.2740100657e-24  # J/T, CODATA 2022 recommended value
 
-# Lande factor giving a magnetic moment of g_J * J ~ 10 Bohr magnetons
-# for J = 8; configurable wherever it enters.
-DEFAULT_G_FACTOR = 1.2416
+# Ground-state Lande factor of dysprosium, giving a magnetic moment of
+# g_J * J ~ 10 Bohr magnetons for J = 8
+G_FACTOR = 1.2416
 
 
-def gyromagnetic_ratio(g_factor=None):
+def gyromagnetic_ratio():
     """Angular precession rate per field, mu_B g_J / hbar, in rad/(s T)."""
-    if g_factor is None:
-        g_factor = DEFAULT_G_FACTOR
-    return _BOHR_MAGNETON * g_factor / HBAR
+    return _BOHR_MAGNETON * G_FACTOR / HBAR
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,6 @@ class NoiseModel:
     kind: str
     rms_field: float = 0.0
     diffusion: float = 0.0
-    g_factor: float = DEFAULT_G_FACTOR
 
     def __post_init__(self):
         if self.kind not in ("static-gaussian", "markovian"):
@@ -78,29 +75,25 @@ class NoiseModel:
 
     @property
     def gamma(self):
-        return gyromagnetic_ratio(self.g_factor)
+        return gyromagnetic_ratio()
 
     @classmethod
-    def static(cls, rms_field, g_factor=None):
-        return cls(kind="static-gaussian", rms_field=rms_field,
-                   g_factor=DEFAULT_G_FACTOR if g_factor is None else g_factor)
+    def static(cls, rms_field):
+        return cls(kind="static-gaussian", rms_field=rms_field)
 
     @classmethod
-    def markovian(cls, diffusion, g_factor=None):
-        return cls(kind="markovian", diffusion=diffusion,
-                   g_factor=DEFAULT_G_FACTOR if g_factor is None else g_factor)
+    def markovian(cls, diffusion):
+        return cls(kind="markovian", diffusion=diffusion)
 
     @classmethod
-    def static_from_time(cls, tau, g_factor=None):
+    def static_from_time(cls, tau):
         """Static model whose order-1 coherence reaches 1/e at time tau."""
-        gamma = gyromagnetic_ratio(g_factor)
-        return cls.static(math.sqrt(2.0) / (gamma * tau), g_factor=g_factor)
+        return cls.static(math.sqrt(2.0) / (gyromagnetic_ratio() * tau))
 
     @classmethod
-    def markovian_from_time(cls, tau, g_factor=None):
+    def markovian_from_time(cls, tau):
         """Markovian model whose order-1 coherence reaches 1/e at time tau."""
-        gamma = gyromagnetic_ratio(g_factor)
-        return cls.markovian(1.0 / (gamma**2 * tau), g_factor=g_factor)
+        return cls.markovian(1.0 / (gyromagnetic_ratio()**2 * tau))
 
 
 def _decay_factor(n_sq, model, t):

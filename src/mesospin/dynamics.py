@@ -1,6 +1,6 @@
 """Time evolution under the twisting Hamiltonian and the light-shift model.
 
-The ideal coupling is H = omega_L (b.J) + omega Jx^2 (hbar = 1, so H is
+The ideal coupling is H = omega_L Jz + omega Jx^2 (hbar = 1, so H is
 in rad/s).  Pure Jx^2 evolution from |-J>_z admits closed forms for the
 state and its z moments; those serve as oracles for the numerical
 propagator.  The full light-shift operator, from which the Jx^2 coupling
@@ -10,14 +10,13 @@ derives, is also provided for polarization and scattering studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import (
     Direction,
-    Z_AXIS,
     basis_state,
     dimension,
     expi_hermitian,
@@ -48,18 +47,18 @@ HBAR = 6.62607015e-34 / (2 * math.pi)  # J s, exact in SI
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    """Parameters of the spin coupling H = omega_L (b.J) + omega Jx^2.
+    """Parameters of the spin coupling H = omega_L Jz + omega Jx^2.
 
     omega is the non-linear (twisting) rate and omega_larmor the Larmor
-    precession rate about the field axis, both in rad/s.  When
-    include_jx4 is set, the leading quartic correction
+    precession rate about the z field axis, both in rad/s (a tilted
+    field is an imperfection, `ImperfectionConfig.field_axis_components`).
+    When include_jx4 is set, the leading quartic correction
     (omega^2/detuning) [(2J^2+3J+1) Jx^2 + Jx^4] is added, which requires
     a nonzero detuning (rad/s).
     """
 
     omega: float
     omega_larmor: float = 0.0
-    field_axis: object = field(default=Z_AXIS)
     detuning: float = 0.0
     include_jx4: bool = False
 
@@ -71,11 +70,12 @@ class CouplingConfig:
 
 
 def hamiltonian(cfg: CouplingConfig, ops):
-    """Coupling Hamiltonian for the given configuration, in rad/s."""
+    """Coupling Hamiltonian omega_L Jz + omega Jx^2 (plus the optional
+    quartic correction) for the given configuration, in rad/s."""
     j = ops.j
     h = cfg.omega * (ops.jx @ ops.jx)
     if cfg.omega_larmor != 0.0:
-        h = h + cfg.omega_larmor * ops.along(cfg.field_axis)
+        h = h + cfg.omega_larmor * ops.jz
     if cfg.include_jx4:
         jx2 = ops.jx @ ops.jx
         h = h + (cfg.omega**2 / cfg.detuning) * (

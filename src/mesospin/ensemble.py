@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angular import clebsch_gordan
-from .core import _unit_vector, basis_state, expi_hermitian, make_operators, spin_of
+from .core import basis_state, expi_hermitian, make_operators, spin_of
 from .dynamics import light_shift_operator
 from .rng import substream
 
@@ -159,9 +159,9 @@ def _hamiltonian_parts(cfg, imp, ops, f, eps):
         quartic = (omega**2 / cfg.detuning, qmat)
     field = None
     if cfg.omega_larmor:
-        axis = imp.field_axis
-        b = axis if axis is not None else _unit_vector(cfg.field_axis)
-        field = cfg.omega_larmor * (b[0] * ops.jx + b[1] * ops.jy + b[2] * ops.jz)
+        b = imp.field_axis
+        field = cfg.omega_larmor * (
+            ops.jz if b is None else b[0] * ops.jx + b[1] * ops.jy + b[2] * ops.jz)
     return light, quartic, field
 
 

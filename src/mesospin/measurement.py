@@ -193,7 +193,7 @@ def _by_pulse_unitary(j, pulse_peak, duration, static_bz, gamma):
     return u
 
 
-def by_pulse_map(state, pulse_peak, duration, static_bz, *, g_factor=None):
+def by_pulse_map(state, pulse_peak, duration, static_bz):
     """Evolution under a smooth B_y pulse on top of a static B_z field.
 
     The pulse B_y(t) = pulse_peak * sin^2(pi t / duration) (tesla) adds
@@ -204,14 +204,14 @@ def by_pulse_map(state, pulse_peak, duration, static_bz, *, g_factor=None):
     if duration <= 0:
         raise ValueError("pulse duration must be positive")
     state = np.asarray(state)
-    gamma = gyromagnetic_ratio(g_factor)
+    gamma = gyromagnetic_ratio()
     u = _by_pulse_unitary(spin_of(state), pulse_peak, duration, static_bz, gamma)
     if state.ndim == 1:
         return u @ state
     return u @ state @ u.conj().T
 
 
-def tune_by_pulse(j, duration, static_bz, *, g_factor=None):
+def tune_by_pulse(j, duration, static_bz):
     """Peak field that makes the B_y pulse map an equatorial axis onto +z.
 
     Returns (pulse_peak, phi) where phi is the equatorial scan angle of
@@ -221,7 +221,7 @@ def tune_by_pulse(j, duration, static_bz, *, g_factor=None):
     pi / (gamma duration), the peak of a quarter turn without the
     static field, by regula falsi with the Illinois modification.
     """
-    gamma = gyromagnetic_ratio(g_factor)
+    gamma = gyromagnetic_ratio()
     ops = make_operators(j)
     top = basis_state(j, j)
 

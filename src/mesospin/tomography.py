@@ -146,7 +146,7 @@ def dataset_to_json(data: TomographyDataset):
 
 def dataset_from_json(doc):
     """Inverse of `dataset_to_json`."""
-    j = doc["j"]
+    j = float(doc["j"])
     n_total = doc.get("atom_total")
 
     def dist(axis, rec, key_counts, key_probs):

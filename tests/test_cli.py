@@ -183,6 +183,16 @@ def test_dataset_errors(config_path, tmp_path, capsys):
     assert main(["tomo", "--config", config_path, "--out", str(tmp_path),
                  "--dataset", str(broken)]) == 2
 
+    # well-formed JSON that is no dataset: a configuration error, not a
+    # crash with a traceback
+    for malformed in ({"j": 4}, {"j": 4, "z_probs": [1.0], "settings": 5},
+                      {"j": [4], "z_probs": [1.0], "settings": []}, [1, 2]):
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(malformed))
+        assert main(["tomo", "--config", config_path, "--out", str(tmp_path),
+                     "--dataset", str(bad)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     data = synthesize_dataset(kitten_state(8.0),
                               phis=default_equatorial_angles()[::4])
     doc = dataset_to_json(data)
@@ -192,6 +202,22 @@ def test_dataset_errors(config_path, tmp_path, capsys):
     assert main(["tomo", "--config", config_path, "--out", str(tmp_path),
                  "--dataset", str(corrupt)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_tomo_dataset_sets_j(config_path, tmp_path):
+    # a J = 4 dataset under the J = 8 configuration
+    data = synthesize_dataset(kitten_state(4.0))
+    path = tmp_path / "j4.json"
+    path.write_text(json.dumps(dataset_to_json(data)))
+    assert main(["tomo", "--config", config_path, "--out", str(tmp_path),
+                 "--dataset", str(path)]) == 0
+    lines = (tmp_path / "fig4.csv").read_text().splitlines()[1:]
+    rows = sorted({int(line.split(",")[0]) for line in lines})
+    assert rows == list(range(-4, 5))
+    assert len(lines) == 81
+    summary = json.loads((tmp_path / "fig5.summary.json").read_text())["summary"]
+    # static noise: the order-2J coherence decays 2J = 8 times faster
+    assert summary["enhancement_ratio"] == pytest.approx(8.0, rel=1e-3)
 
 
 def test_verify_reports_ok_missing_and_mismatch(config_path, tmp_path, capsys):

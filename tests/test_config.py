@@ -15,6 +15,7 @@ from mesospin import (
     default_config,
     load_config,
 )
+from mesospin.cli import main
 
 
 def test_default_config_values():
@@ -75,6 +76,12 @@ def test_noise_section_needs_exactly_one_scale():
     mismatch["noise"]["kind"] = "markovian"
     with pytest.raises(ValueError):
         config_from_json(mismatch)
+    # a timescale fits either kind, so an unknown kind must not pass
+    pink = json.loads(canonical_json(doc))
+    del pink["noise"]["rms_field_t"]
+    pink["noise"].update(kind="pink", coherence_time_s=740e-6)
+    with pytest.raises(ValueError):
+        config_from_json(pink)
 
 
 def test_noise_from_coherence_time():
@@ -122,3 +129,38 @@ def test_run_config_validation():
     bad_fmt["output"]["format"] = "parquet"
     with pytest.raises(ValueError):
         config_from_json(bad_fmt)
+    bad_dir = json.loads(canonical_json(doc))
+    bad_dir["output"]["directory"] = 5
+    with pytest.raises(ValueError):
+        config_from_json(bad_dir)
+    quoted = json.loads(canonical_json(doc))
+    quoted["coupling"]["include_jx4"] = "false"
+    with pytest.raises(ValueError):
+        config_from_json(quoted)
+
+
+def _retired_documents():
+    """Documents carrying a setting that schema version 2 removed."""
+    doc = config_to_json(default_config())
+    light = json.loads(canonical_json(doc))
+    light["light"] = {"linewidth_per_s": 0.85e6,
+                      "resonance_wavelength_m": 626e-9}
+    g_factor = json.loads(canonical_json(doc))
+    g_factor["noise"]["g_factor"] = 1.2416
+    # a complete version-1 document has both and its own version number
+    v1 = json.loads(canonical_json(light))
+    v1["noise"]["g_factor"] = 1.2416
+    v1["schema_version"] = 1
+    return {"v1": v1, "light": light, "g_factor": g_factor}
+
+
+@pytest.mark.parametrize("name", ["v1", "light", "g_factor"])
+def test_retired_settings_are_rejected(name, tmp_path, capsys):
+    doc = _retired_documents()[name]
+    with pytest.raises(ValueError):
+        config_from_json(doc)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["parity", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()

@@ -28,7 +28,6 @@ def test_gyromagnetic_ratio_definition():
     mu_b = 9.2740100657e-24
     hbar = 6.62607015e-34 / (2 * math.pi)
     assert gyromagnetic_ratio() == pytest.approx(1.2416 * mu_b / hbar, rel=1e-12)
-    assert gyromagnetic_ratio(2.4832) == pytest.approx(2 * gyromagnetic_ratio(), rel=1e-12)
 
 
 def test_noise_model_validation():

@@ -11,7 +11,6 @@ from mesospin import (
     CouplingConfig,
     LightShiftParams,
     X_AXIS,
-    Z_AXIS,
     analytic_mz,
     analytic_varz,
     basis_state,
@@ -159,7 +158,7 @@ def test_hamiltonian_pure_twisting_matrix():
 
 def test_hamiltonian_with_field_term():
     ops = make_operators(8)
-    cfg = CouplingConfig(omega=2.0, omega_larmor=0.5, field_axis=Z_AXIS)
+    cfg = CouplingConfig(omega=2.0, omega_larmor=0.5)
     h = hamiltonian(cfg, ops)
     np.testing.assert_allclose(h, 2.0 * ops.jx @ ops.jx + 0.5 * ops.jz, atol=1e-12)
 
