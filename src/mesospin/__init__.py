@@ -87,6 +87,7 @@ from .ensemble import (
     ImperfectionConfig,
     ensemble_evolve,
     mcwf_scattering,
+    pulse_steps,
     scattering_channels,
     scattering_probability,
 )
@@ -99,6 +100,7 @@ from .fitting import (
     fit_sinusoid,
 )
 from .measurement import (
+    DimensionError,
     ProjectionDistribution,
     by_pulse_map,
     equatorial_direction,

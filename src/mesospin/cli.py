@@ -39,9 +39,20 @@ from .dynamics import (
     kitten_state,
     oat_closed_form,
 )
-from .ensemble import _ensemble_density, _imperfection_draws, ensemble_evolve
+from .ensemble import (
+    _ensemble_density,
+    _imperfection_draws,
+    ensemble_evolve,
+    pulse_steps,
+)
 from .fitting import fit_decay
-from .measurement import magnetization, projection_probs, ramsey_scan, variance
+from .measurement import (
+    DimensionError,
+    magnetization,
+    projection_probs,
+    ramsey_scan,
+    variance,
+)
 from .metrology import (
     PhaseScan,
     equatorial_phase_scan,
@@ -303,7 +314,9 @@ def _write_scan_gain(cfg, name, method, scan, scan_sampled, report, summary):
         for k, m in enumerate(range(-int(cfg.j), int(cfg.j) + 1)):
             records.append([float(phi), m, float(exact[k]), float(sampled[k])])
     summary = {**summary, "period_rad": report.fit.period, "gain": report.gain,
-               "gain_uncertainty": report.uncertainty, "bound": report.bound}
+               "gain_uncertainty": report.uncertainty, "bound": report.bound,
+               "pulse_steps": pulse_steps(cfg.imperfections,
+                                          cfg.kitten_pulse_time())}
     write_artifact(cfg, name,
                    [("phi", "rad"), ("m", "hbar"), ("pi_exact", "1"),
                     ("pi_sampled", "1")], records, summary)
@@ -375,6 +388,7 @@ def cmd_hellinger(cfg):
         "sql_slope": math.sqrt(j / 4.0),
         "heisenberg_slope": 2 * j / (2.0 * math.sqrt(2.0)),
         "window_rad": window,
+        "pulse_steps": pulse_steps(cfg.imperfections, cfg.kitten_pulse_time()),
     }
     write_artifact(cfg, "fig3d",
                    [("dphi", "rad"), ("dh_coherent", "1"),
@@ -391,7 +405,7 @@ def _read_dataset(path):
         doc = json.load(handle)
     try:
         return dataset_from_json(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, DimensionError) as exc:
         raise _InputError(f"malformed dataset {path}: {exc!r}") from exc
 
 

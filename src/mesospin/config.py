@@ -172,6 +172,13 @@ def _take(section, name, required, allowed=None):
 def _convert(value, kind, key):
     if kind is tuple:
         return None if value is None else tuple(value)
+    if kind is int:
+        # int(2.7) is 2: a fractional count must not be truncated
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"'{key}' must be an integer, not {value!r}")
+        return value
     # bool("false") is True: a string must not switch a setting on
     if kind in (str, bool) and not isinstance(value, kind):
         raise ValueError(f"'{key}' must be of JSON type "

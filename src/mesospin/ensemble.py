@@ -16,10 +16,14 @@ channels of the J -> J+1 transition.  One stepped engine, `_run_steps`,
 serves every stepped evolution: the ensemble average with a finite
 rise time or scattering, in which the main and leak starters step in
 one batch, the calibration of the jump rate, and `mcwf_scattering`.
-The jump rate is calibrated once per ensemble call, on the nominal
-atom alone, so it depends on the physics (initial state, coupling,
-field axis, rise time, scattering probability and pulse time) and
-never on the samples or the seed.
+Each step lasts at most PULSE_STEP_S and takes the exact means of the
+rise envelope and of its square over the step: each sample's light,
+quartic and decay terms commute with themselves at every envelope
+value, so only the Strang splitting against the static field is left
+to converge.  The jump rate is calibrated once per ensemble call, on
+the nominal atom alone, so it depends on the physics (initial state,
+coupling, field axis, rise time, scattering probability and pulse
+time) and never on the samples or the seed.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "scattering_channels",
     "scattering_probability",
     "mcwf_scattering",
+    "pulse_steps",
 ]
 
 
@@ -260,33 +265,73 @@ def _jump_basis(two_j, polarization=(1.0, 0.0, 0.0)):
     return tuple(channels), kmat, kw, kv
 
 
+# Longest step of the stepped engine.  The error is second order in the
+# step: at 3.5 ns, rho of 40 samples of the default physics (seed 7) lies
+# within 1.8e-5 (j = 4) and 4.1e-5 (j = 8) in Frobenius norm of a
+# 0.05 ns reference, less than a 1 ns grid of midpoint envelope values
+# leaves (2.9e-5 and 4.5e-5).  The kitten pulse (174.7 ns) takes 50 steps.
+PULSE_STEP_S = 3.5e-9
+# The rise dominates short pulses; 24 steps keep the first ten fig2
+# pulse times (areas of 3-32 ns, j = 8, no scattering) within 2.8e-5.
+_MIN_STEPS = 24
+
+
 class _Pulse(NamedTuple):
     """A pulse cut into steps, as the stepped engine consumes it."""
 
-    env: np.ndarray          # intensity envelope at each step's midpoint
+    env: np.ndarray          # mean intensity envelope over each step
+    env2: np.ndarray         # mean squared envelope over each step
     ds: float                # step length
     light: tuple             # per-sample eigh (w, v) of the unit-envelope light term
     quartic: tuple | None    # (per-sample scale, qw, qv) of the quartic term
     field_half: np.ndarray | None  # static-field propagator over ds / 2
 
 
+def _step_count(duration):
+    """Steps of a stepped pulse lasting `duration` seconds."""
+    return max(_MIN_STEPS, math.ceil(duration / PULSE_STEP_S))
+
+
+def pulse_steps(imp, t):
+    """Steps the ensemble takes for a pulse of area time t.
+
+    0 without rise time and scattering: each sample then takes one exact
+    propagator.
+    """
+    if imp.pulse_rise_time == 0 and imp.scattering_probability == 0:
+        return 0
+    return _step_count(_pulse_duration(t, imp.pulse_rise_time))
+
+
+def _envelope_means(n_steps, ds, rise):
+    """Exact means of env = 1 - exp(-s/rise) and of env^2 over each step.
+
+    With x = exp(-s_k/rise) at the step's start, the means are
+    1 - c1 x and 1 - 2 c1 x + c2 x^2, where c1 and c2 are the means of
+    exp(-u/rise) and exp(-2u/rise) over one step.
+    """
+    if rise == 0 or ds == 0:  # no rise, or a pulse of zero area
+        ones = np.ones(n_steps)
+        return ones, ones
+    x = np.exp(-np.arange(n_steps) * (ds / rise))
+    c1 = -math.expm1(-ds / rise) * rise / ds
+    c2 = -math.expm1(-2.0 * ds / rise) * rise / (2.0 * ds)
+    return 1.0 - c1 * x, 1.0 - 2.0 * c1 * x + c2 * x * x
+
+
 def _stepped_pulse(cfg, imp, ops, f, eps, t):
     """Pulse of area time t for the samples with intensities f, ellipticities eps."""
     light, quartic, field = _hamiltonian_parts(cfg, imp, ops, f, eps)
     duration = _pulse_duration(t, imp.pulse_rise_time)
-    n_steps = max(64, math.ceil(duration / 1e-9))
+    n_steps = _step_count(duration)
     ds = duration / n_steps
-    grid = (np.arange(n_steps) + 0.5) * ds
-    if imp.pulse_rise_time > 0:
-        env = 1.0 - np.exp(-grid / imp.pulse_rise_time)
-    else:
-        env = np.ones(n_steps)
+    env, env2 = _envelope_means(n_steps, ds, imp.pulse_rise_time)
     quartic_eig = None
     if quartic is not None:
         scale, qmat = quartic
         quartic_eig = (scale, *np.linalg.eigh(qmat))
     field_half = None if field is None else expi_hermitian(field, ds / 2.0)
-    return _Pulse(env, ds, np.linalg.eigh(light), quartic_eig, field_half)
+    return _Pulse(env, env2, ds, np.linalg.eigh(light), quartic_eig, field_half)
 
 
 def _jump_draws(seed, n, n_steps):
@@ -301,17 +346,18 @@ def _run_steps(psi, pulse, decay=None, jumps=None):
     over blocks, so several initial states step in one batch.  Matrix
     products stay per block, because BLAS rounds a single row unlike a
     stack of rows.  Each step applies half the static field, the light,
-    quartic and decay terms in their eigenbases at the step's envelope
-    value, then the other half of the field.  decay = (rates, basis)
-    holds each sample's jump rate and its _jump_basis.  With jumps None
-    the norm simply decays (the rate calibration integrates that).
-    Otherwise jumps = (draws, seed): state (b, i) jumps at step k when
+    quartic and decay terms in their eigenbases at the step's mean
+    envelope (its mean squared envelope for the quartic term), then the
+    other half of the field.  decay = (rates, basis) holds each
+    sample's jump rate and its _jump_basis.  With jumps None the norm
+    simply decays (the rate calibration integrates that).  Otherwise
+    jumps = (draws, seed): state (b, i) jumps at step k when
     draws[b, i, k] is below its step's decay probability and picks its
     channel with the trailing draws, refilled in place from
     substream(seed, 2, i, ...) once used up.
     """
     wa, va = pulse.light
-    va_h = va.conj()
+    va_h, va_t = va.conj(), va.transpose(0, 2, 1)
     light_phase = -1j * wa
     ds = pulse.ds
     field_t = None if pulse.field_half is None else pulse.field_half.T
@@ -327,15 +373,17 @@ def _run_steps(psi, pulse, decay=None, jumps=None):
         draws, seed = jumps
         n_steps = pulse.env.size
         extra = np.full(psi.shape[:2], n_steps)
-    for k, e_k in enumerate(pulse.env):
+    for k, (e_k, e2_k) in enumerate(zip(pulse.env, pulse.env2)):
         if field_t is not None:
             psi = psi @ field_t
-        amp = np.einsum("nmk,bnm->bnk", va_h, psi)
-        amp *= np.exp(light_phase * (e_k * ds))
-        psi = np.einsum("nik,bnk->bni", va, amp)
+        # one row per (block, sample) against its sample's basis, so a
+        # row rounds alike in any batch
+        amp = psi[:, :, None, :] @ va_h
+        amp *= np.exp(light_phase * (e_k * ds))[:, None, :]
+        psi = (amp @ va_t)[:, :, 0, :]
         if pulse.quartic is not None:
             amp = psi @ qv_c
-            amp *= np.exp(quartic_phase * (e_k**2 * ds))
+            amp *= np.exp(quartic_phase * (e2_k * ds))
             psi = amp @ qv_t
         if decay is not None:
             amp = psi @ kv_c
@@ -412,8 +460,8 @@ def mcwf_scattering(initial, p, t, trajectories, seed, *,
     if gamma < 0:
         raise ValueError("negative scattering rate; check the detuning sign")
     w, v = np.linalg.eigh(h)
-    pulse = _Pulse(np.ones(_MCWF_STEPS), t / _MCWF_STEPS, (w[None], v[None]),
-                   None, None)
+    ones = np.ones(_MCWF_STEPS)
+    pulse = _Pulse(ones, ones, t / _MCWF_STEPS, (w[None], v[None]), None, None)
     if target_probability is not None:
         gamma = _calibrate_rate(initial, pulse, basis, target_probability, t)
     # every trajectory is one sample of the same atom
@@ -435,7 +483,7 @@ def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
         starters.append((imp.initial_leak_fraction, basis_state(ops.j, -ops.j + 1)))
 
     rho = np.zeros((dim, dim), dtype=complex)
-    if imp.pulse_rise_time == 0 and imp.scattering_probability == 0:
+    if pulse_steps(imp, t) == 0:
         light, quartic, field = _hamiltonian_parts(cfg, imp, ops, f, eps)
         h = light if field is None else light + field[None]
         if quartic is not None:

@@ -27,6 +27,7 @@ from .dephasing import gyromagnetic_ratio
 from .rng import substream
 
 __all__ = [
+    "DimensionError",
     "ProjectionDistribution",
     "projection_probs",
     "parity",
@@ -39,6 +40,10 @@ __all__ = [
     "by_pulse_map",
     "tune_by_pulse",
 ]
+
+
+class DimensionError(ValueError):
+    """A probability vector whose length is not the 2j+1 outcomes of its j."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,11 @@ class ProjectionDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
+        outcomes = 2 * self.j + 1
+        if p.shape != (outcomes,):
+            raise DimensionError(f"{p.size} projection probabilities for "
+                                 f"j = {self.j:g}, which has 2j+1 = "
+                                 f"{outcomes:g} outcomes")
         if p.min() < -1e-10:
             raise ValueError("negative projection probability")
         if abs(p.sum() - 1.0) > 1e-10:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mesospin
-from mesospin import kitten_state
+from mesospin import kitten_state, pulse_steps
 from mesospin.cli import main
 from mesospin.config import config_to_json, default_config
 from mesospin.tomography import (
@@ -30,6 +30,11 @@ def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("config") / "run.json"
     path.write_text(json.dumps(config_to_json(default_config())))
     return str(path)
+
+
+# steps of the default configuration's nominal pulse
+NOMINAL_STEPS = pulse_steps(default_config().imperfections,
+                            default_config().kitten_pulse_time())
 
 
 def _run(command, config_path, out_dir, *extra):
@@ -72,6 +77,7 @@ def test_parity_artifacts_metadata_and_manifest(config_path, tmp_path):
     assert 0.8 < summary["contrast"] <= 1.0
     assert summary["period_rad"] == pytest.approx(math.pi / 8, rel=1e-2)
     assert 10.0 < summary["gain"] < 18.0
+    assert summary["pulse_steps"] == NOMINAL_STEPS > 0
 
     manifest = _read_manifest(tmp_path)
     assert set(manifest["artifacts"]) == {"fig3a", "fig3c"}
@@ -93,6 +99,7 @@ def test_json_format_embeds_records_and_summary(config_path, tmp_path):
     assert len(doc["records"]) == 25
     assert doc["summary"]["sql_slope"] == pytest.approx(math.sqrt(2.0))
     assert doc["summary"]["gain_ideal"] == pytest.approx(16.0, rel=0.02)
+    assert doc["summary"]["pulse_steps"] == NOMINAL_STEPS
 
 
 def test_rerun_is_byte_identical(config_path, tmp_path):
@@ -131,6 +138,8 @@ def test_method_table_merges_across_commands(config_path, tmp_path):
     summary = json.loads((tmp_path / "fig3c.summary.json").read_text())["summary"]
     assert {"parity_gain", "parity_uncertainty", "magnetization_gain",
             "magnetization_uncertainty"} <= set(summary)
+    ramsey = json.loads((tmp_path / "fig3b.summary.json").read_text())["summary"]
+    assert ramsey["pulse_steps"] == NOMINAL_STEPS
 
     # re-running one method replaces its row instead of duplicating it
     assert _run("parity", config_path, tmp_path, "--samples", "6") == 0
@@ -165,6 +174,11 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert main(["parity", "--config", str(broken)]) == 2
     assert main(["parity", "--config", str(tmp_path / "absent.json")]) == 2
     assert main(["parity", "--config", config_path, "--samples", "0"]) == 2
+    doc = config_to_json(default_config())
+    doc["imperfections"]["ensemble_samples"] = 2.7
+    bad.write_text(json.dumps(doc))
+    assert main(["parity", "--config", str(bad)]) == 2
+    assert "'ensemble_samples' must be an integer" in capsys.readouterr().err
 
     with pytest.raises(SystemExit) as info:
         main(["parity", "--format", "parquet"])
@@ -192,6 +206,18 @@ def test_dataset_errors(config_path, tmp_path, capsys):
         assert main(["tomo", "--config", config_path, "--out", str(tmp_path),
                      "--dataset", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    # a j that disagrees with the J = 4 vectors: named with both lengths
+    j4 = dataset_to_json(synthesize_dataset(kitten_state(4.0)))
+    for j, outcomes in ((8, "17"), (4.5, "10")):
+        bad = tmp_path / "mismatch.json"
+        bad.write_text(json.dumps({**j4, "j": j}))
+        assert main(["tomo", "--config", config_path, "--out", str(tmp_path),
+                     "--dataset", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "9 projection probabilities" in err
+        assert f"2j+1 = {outcomes} outcomes" in err
 
     data = synthesize_dataset(kitten_state(8.0),
                               phis=default_equatorial_angles()[::4])

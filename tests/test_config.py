@@ -137,6 +137,16 @@ def test_run_config_validation():
     quoted["coupling"]["include_jx4"] = "false"
     with pytest.raises(ValueError):
         config_from_json(quoted)
+    # integer settings are not truncated: 2.7 samples is no count
+    for value in (90000.9, "90000", True):
+        with pytest.raises(ValueError):
+            config_from_json(mutate(atom_total=value))
+    fractional = json.loads(canonical_json(doc))
+    fractional["imperfections"]["ensemble_samples"] = 2.7
+    with pytest.raises(ValueError):
+        config_from_json(fractional)
+    # an integral float is the integer it spells
+    assert config_from_json(mutate(atom_total=90000.0)).atom_total == 90000
 
 
 def _retired_documents():

@@ -39,50 +39,50 @@ KITTEN = kitten_state(8)
 
 # rho of ensemble_evolve(basis_state(4, -4)) at the default coupling and
 # imperfections (leak, rise time and scattering on), 10 samples, seed 3,
-# with the pulse duration solved to rounding; the earlier duration root,
-# which missed the pulse area by 1.2e-7 relative, moved it by 2.1e-7
+# with the pulse duration solved to rounding, on steps of PULSE_STEP_S
+# that take the exact envelope means
 _PIN_DIAGONAL = [
-    0.4727443132659508, 0.014056130589692479, 0.011207589918103255,
-    0.0004753017054741825, 0.0031109849586138127, 0.0018627587100716676,
-    0.015287275527940201, 0.013635524572987426, 0.4676201207511663,
+    0.47274244880474187, 0.014055951730828934, 0.011209280539731708,
+    0.00047538599870190475, 0.0031116721221637637, 0.0018630245466109464,
+    0.015288713536671494, 0.013635340959485362, 0.46761818176106423,
 ]
 _PIN_UPPER = [  # row-major, above the diagonal
-    (0.0018212121910155651, 0.0016997076715895667),
-    (-0.014809707109984756, -0.03463499268771821),
-    (-0.001584738288453464, -0.0002561608228703378),
-    (-0.0004068547872087403, -8.122545004559645e-05),
-    (0.0019405294255855244, 4.686085214279392e-05),
-    (-0.05428987960129841, 0.03093914828592806),
-    (-0.00106014216788557, -0.0007236641134291758),
-    (0.03422817975367658, -0.468889392087056),
-    (-0.00013761172515256546, -3.9645736454806376e-05),
-    (-0.0002901625962180278, -0.0020909192056657922),
-    (-2.5376537967493153e-05, -1.3281600956306715e-06),
-    (-0.0030557674713084636, 0.0010728804741713719),
-    (-4.271273609742369e-05, 0.0003071059226484477),
-    (-0.00010919516357873121, -0.013817396783081089),
-    (-0.001622938207968858, -0.0019834821539539116),
-    (9.03493597113352e-05, -9.591861444643945e-05),
-    (-0.00444599666364322, -0.0017691605541686074),
-    (-5.003790596877843e-05, 0.0001271394826168548),
-    (-0.002320146201396405, -0.01221606758525303),
-    (5.7126223950888096e-05, -0.0001290460176149035),
-    (0.03309096162114893, 0.017263490605064696),
-    (-1.4076811125640667e-05, -1.010407134409106e-06),
-    (-0.00017393746314584382, -0.0008425048720355912),
-    (0.00014248528055457903, -0.00014905821808122052),
-    (0.0020222994822305935, 0.0002700620115566486),
-    (0.00014973210408359414, 0.0015835061984328651),
-    (-3.83593603249168e-06, 1.09792983051014e-05),
-    (0.0026508838398081255, 0.003325014735377496),
-    (3.607320544741133e-06, 4.36038286912504e-05),
-    (7.038104126891895e-05, 0.0004408277012482827),
-    (-0.00021055414297307682, 0.00010717377101754712),
-    (-0.0010282480380181126, 0.0028457179529058733),
-    (0.00010112820742684255, -0.0019088178040716913),
-    (0.0001056056352765547, 0.00011451049549740568),
-    (-0.03474825896831668, 0.05140198223430308),
-    (0.0006939563216481168, 0.0010356720527704567),
+    (0.0018211655782435108, 0.0016986441956313753),
+    (-0.014816986806771106, -0.034646122857465884),
+    (-0.001584729882798102, -0.0002562278125669978),
+    (-0.00040789185208521767, -7.694334390591043e-05),
+    (0.0019404644200102254, 4.675332887985818e-05),
+    (-0.054299606439837125, 0.03093592258906307),
+    (-0.0010591143214720156, -0.0007237727197868808),
+    (0.03422877746617122, -0.4688874400179316),
+    (-0.0001376055827747339, -3.970540717006764e-05),
+    (-0.0002904881851712251, -0.0020912751666835134),
+    (-2.5358411907881935e-05, -1.3247205097324355e-06),
+    (-0.003056334621762675, 0.0010728089422778057),
+    (-4.2782660761143925e-05, 0.00030699521683816175),
+    (-0.00010909104710132953, -0.013817224192240754),
+    (-0.001621814679009668, -0.0019833605032163987),
+    (9.038537601866744e-05, -9.596344067859441e-05),
+    (-0.004446713830621994, -0.0017695600611993144),
+    (-5.005466249203486e-05, 0.00012717113679973778),
+    (-0.002319625529042558, -0.012217994204781585),
+    (5.7183527458011985e-05, -0.00012898988931941475),
+    (0.033101473855623384, 0.017271772222281608),
+    (-1.4073467474761428e-05, -1.0320638378570091e-06),
+    (-0.00017385590752834847, -0.0008426467886695984),
+    (0.00014252693978759556, -0.00014905512654561724),
+    (0.002022643408119131, 0.00027040171173156727),
+    (0.0001497982405495868, 0.001583512460050866),
+    (-3.842112262165555e-06, 1.096840963622519e-05),
+    (0.0026516642123124374, 0.003325702725408838),
+    (3.601492053139136e-06, 4.362593884185129e-05),
+    (6.599301401329834e-05, 0.00044141533337440644),
+    (-0.00021059893879314058, 0.00010713805905150197),
+    (-0.0010282024941606599, 0.0028462365910144104),
+    (0.0001012212394567034, -0.0019087479544372234),
+    (0.0001055194536528701, 0.00011445525302710869),
+    (-0.034746026509063714, 0.051411776596972825),
+    (0.0006941332007122485, 0.001034729305548382),
 ]
 
 
@@ -155,12 +155,22 @@ def test_pulse_duration_preserves_integrated_area():
     assert total - rise * (1 - math.exp(-total / rise)) == pytest.approx(area, abs=1e-12)
     assert _pulse_duration(area, 0.0) == area
     # pulse areas of 50 ns - 1 us (the default coupling's is 126 ns) and
-    # rise times of 1 - 200 ns meet the area to rounding
+    # rise times of 1 - 200 ns meet the area to rounding, and so do the
+    # steps' envelope means and squared-envelope means
+    ops = make_operators(1.0)
     for area in (5e-8, 1e-7, T_KITTEN, 2.5e-7, 5e-7, 1e-6):
         for rise in (1e-9, 1e-8, 2e-8, 5e-8, 1e-7, 2e-7):
             total = _pulse_duration(area, rise)
             gap = total + rise * math.expm1(-total / rise) - area
             assert abs(gap) <= 1e-14 * area, (area, rise)
+            imp = ImperfectionConfig(pulse_rise_time=rise, ensemble_samples=1)
+            pulse = ensemble._stepped_pulse(CFG, imp, ops, np.ones(1),
+                                            np.zeros(1), area)
+            assert abs(pulse.env.sum() * pulse.ds - area) <= 1e-14 * area
+            # integral of (1 - e^(-s/rise))^2 over the pulse
+            area2 = (total + 2 * rise * math.expm1(-total / rise)
+                     - 0.5 * rise * math.expm1(-2 * total / rise))
+            assert abs(pulse.env2.sum() * pulse.ds - area2) <= 1e-14 * area2
 
 
 def test_full_imperfection_set_revival_window():
@@ -245,6 +255,30 @@ def test_stepped_ensemble_matches_pinned_density():
     expect[np.triu_indices(9, 1)] = [complex(re, im) for re, im in _PIN_UPPER]
     expect += np.triu(expect, 1).conj().T
     assert np.max(np.abs(rho - expect)) < 1e-12
+
+
+# Frobenius distance of 40 samples (seed 7) from a 0.05 ns reference,
+# as PULSE_STEP_S states it
+@pytest.mark.parametrize("j, bound", [(4.0, 1.8e-5), (8.0, 4.1e-5)])
+def test_production_step_meets_its_stated_error(j, bound, monkeypatch):
+    coupling, imp = _default_physics(40)
+    down = basis_state(j, -j)
+    rho = ensemble_evolve(down, coupling, imp, T_KITTEN, seed=7)
+    monkeypatch.setattr(ensemble, "PULSE_STEP_S", 0.05e-9)
+    reference = ensemble_evolve(down, coupling, imp, T_KITTEN, seed=7)
+    assert np.linalg.norm(rho - reference) < bound
+
+
+def test_kitten_pulse_step_count():
+    coupling, imp = _default_physics()
+    steps = ensemble.pulse_steps(imp, T_KITTEN)
+    assert steps <= 50
+    pulse = ensemble._stepped_pulse(coupling, imp, make_operators(8.0),
+                                    np.ones(1), np.zeros(1), T_KITTEN)
+    assert pulse.env.size == steps
+    # no rise time and no scattering: one exact propagator per sample
+    exact = replace(imp, pulse_rise_time=0.0, scattering_probability=0.0)
+    assert ensemble.pulse_steps(exact, T_KITTEN) == 0
 
 
 def test_calibrated_rate_ignores_samples_seed_and_sampling(monkeypatch):

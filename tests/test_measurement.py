@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mesospin import (
+    DimensionError,
     Direction,
     ProjectionDistribution,
     X_AXIS,
@@ -70,6 +71,9 @@ def test_distribution_validation():
     negative[3] = 1.2
     with pytest.raises(ValueError):
         ProjectionDistribution(j=8.0, axis=Direction(0, 0), probabilities=negative)
+    # nine entries are the outcomes of j = 4, not of j = 4.5
+    with pytest.raises(DimensionError, match="9 projection probabilities"):
+        ProjectionDistribution(j=4.5, axis=Direction(0, 0), probabilities=good[:9])
     counts = np.zeros(17, dtype=int)
     counts[3] = 10
     with pytest.raises(ValueError):
