@@ -49,8 +49,6 @@ from .core import (
     m_values,
     make_operators,
     projector,
-    rotate,
-    rotation_matrix,
     spin_of,
     spin_variance,
 )
@@ -86,10 +84,8 @@ from .dynamics import (
 from .ensemble import (
     ImperfectionConfig,
     ensemble_evolve,
-    mcwf_scattering,
     pulse_steps,
     scattering_channels,
-    scattering_probability,
 )
 from .fitting import (
     DecayFit,
@@ -102,7 +98,6 @@ from .fitting import (
 from .measurement import (
     DimensionError,
     ProjectionDistribution,
-    by_pulse_map,
     equatorial_direction,
     equatorial_scan,
     magnetization,
@@ -110,7 +105,6 @@ from .measurement import (
     projection_probs,
     ramsey_scan,
     sample_counts,
-    tune_by_pulse,
     variance,
 )
 from .metrology import (
@@ -123,15 +117,12 @@ from .metrology import (
     gain_from_hellinger,
     gain_from_magnetization,
     gain_from_parity,
-    heisenberg_phase_uncertainty,
     hellinger_distance,
     hellinger_window,
     magnetization_curve,
     parity_curve,
     parity_gain_from_contrast,
-    phase_uncertainty,
     sample_scan,
-    sql_phase_uncertainty,
     variance_bound,
     variance_curve,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .dephasing import NoiseModel
@@ -91,6 +92,9 @@ class RunConfig:
             raise ValueError("j must be a positive integer or half-integer")
         if self.atom_total < 1:
             raise ValueError("atom_total must be at least 1")
+        # every command times its pulse as pi/2 over omega
+        if self.coupling.omega <= 0:
+            raise ValueError("omega_rad_per_s must be positive")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.out_format not in ("csv", "json"):
@@ -179,11 +183,18 @@ def _convert(value, kind, key):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"'{key}' must be an integer, not {value!r}")
         return value
+    if kind is float:
+        # float("1.2e7") and float(True) parse, and NaN fails every
+        # comparison: a float setting is a finite JSON number
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"'{key}' must be a finite number, not {value!r}")
+        return float(value)
     # bool("false") is True: a string must not switch a setting on
-    if kind in (str, bool) and not isinstance(value, kind):
+    if not isinstance(value, kind):
         raise ValueError(f"'{key}' must be of JSON type "
                          f"{'string' if kind is str else 'boolean'}")
-    return kind(value)
+    return value
 
 
 def _values(section, table):
@@ -203,7 +214,7 @@ def _noise_from_json(doc):
     if len(scales) != 1:
         raise ValueError(f"noise needs exactly one of {', '.join(scale_keys)}")
     key, attr, from_time = _NOISE_SCALES[kind]
-    value = float(doc[scales[0]])
+    value = _convert(doc[scales[0]], float, scales[0])
     if scales[0] == "coherence_time_s":
         return from_time(value)
     if scales[0] != key:

@@ -31,8 +31,6 @@ __all__ = [
     "spin_of",
     "make_operators",
     "basis_state",
-    "rotation_matrix",
-    "rotate",
     "expi_hermitian",
     "expectation",
     "spin_variance",
@@ -166,26 +164,6 @@ def expi_hermitian(generator, scale=1.0):
     """exp(-i * scale * G) for a Hermitian matrix G, via eigendecomposition."""
     w, v = np.linalg.eigh(generator)
     return (v * np.exp(-1j * scale * w)) @ v.conj().T
-
-
-def rotation_matrix(j, axis, angle):
-    """Active rotation exp(-i * angle * (u . J)) as a dense matrix."""
-    ops = make_operators(j)
-    return expi_hermitian(ops.along(axis), angle)
-
-
-def rotate(state, axis, angle):
-    """Rotate a state vector or density matrix by `angle` about `axis`.
-
-    Applies exp(-i angle (u.J)) to vectors, and the corresponding
-    conjugation to density matrices.  The norm (trace) is preserved to
-    machine precision.
-    """
-    state = np.asarray(state)
-    r = rotation_matrix(spin_of(state), axis, angle)
-    if state.ndim == 1:
-        return r @ state
-    return r @ state @ r.conj().T
 
 
 def basis_state(j, m, axis=Z_AXIS):

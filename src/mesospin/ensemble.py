@@ -15,7 +15,7 @@ detected decay triggers a quantum jump through one of the Rayleigh/Raman
 channels of the J -> J+1 transition.  One stepped engine, `_run_steps`,
 serves every stepped evolution: the ensemble average with a finite
 rise time or scattering, in which the main and leak starters step in
-one batch, the calibration of the jump rate, and `mcwf_scattering`.
+one batch, and the calibration of the jump rate on the nominal atom.
 Each step lasts at most PULSE_STEP_S and takes the exact means of the
 rise envelope and of its square over the step: each sample's light,
 quartic and decay terms commute with themselves at every envelope
@@ -37,15 +37,12 @@ import numpy as np
 
 from .angular import clebsch_gordan
 from .core import basis_state, expi_hermitian, make_operators, spin_of
-from .dynamics import light_shift_operator
 from .rng import substream
 
 __all__ = [
     "ImperfectionConfig",
     "ensemble_evolve",
     "scattering_channels",
-    "scattering_probability",
-    "mcwf_scattering",
     "pulse_steps",
 ]
 
@@ -79,10 +76,13 @@ class ImperfectionConfig:
 
     def __post_init__(self):
         for name in ("intensity_rms_fraction", "stokes_s3",
-                     "initial_leak_fraction", "scattering_probability"):
+                     "initial_leak_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        # certain scattering leaves no no-jump survival to calibrate on
+        if not 0.0 <= self.scattering_probability < 1.0:
+            raise ValueError("scattering_probability must lie in [0, 1)")
         if self.pulse_rise_time < 0:
             raise ValueError("pulse rise time must be non-negative")
         if self.ensemble_samples < 1:
@@ -230,22 +230,6 @@ def scattering_channels(j, polarization=(1.0, 0.0, 0.0)):
     return channels, kmat
 
 
-def scattering_probability(initial, p, t):
-    """Photon-scattering probability over a pulse of duration t.
-
-    One minus the no-jump survival under the physical scattering rate
-    (linewidth / detuning) times the light-shift operator h.  The
-    no-jump generator (-i - linewidth / (2 detuning)) h is a scalar
-    times h, so it is exponentiated in the eigenbasis of h.
-    """
-    initial = np.asarray(initial, dtype=complex)
-    ops = make_operators(spin_of(initial))
-    w, v = np.linalg.eigh(light_shift_operator(p, ops))
-    amp = v.conj().T @ initial
-    amp *= np.exp((-1j - 0.5 * p.linewidth / p.detuning) * w * t)
-    return 1.0 - float(np.real(np.vdot(amp, amp)))
-
-
 def _apply_jump(psi, channels, rng_value):
     """Replace psi by one normalized jump channel, chosen by branching ratio."""
     weights = np.array([np.real(np.vdot(ch @ psi, ch @ psi)) for ch in channels])
@@ -256,9 +240,9 @@ def _apply_jump(psi, channels, rng_value):
 
 
 @lru_cache(maxsize=None)
-def _jump_basis(two_j, polarization=(1.0, 0.0, 0.0)):
+def _jump_basis(two_j):
     """Scattering channels and their sum kmat, with kmat's eigenbasis."""
-    channels, kmat = scattering_channels(two_j / 2.0, polarization)
+    channels, kmat = scattering_channels(two_j / 2.0)
     kw, kv = np.linalg.eigh(kmat)
     for arr in (*channels, kmat, kw, kv):
         arr.setflags(write=False)
@@ -342,6 +326,9 @@ def _jump_draws(seed, n, n_steps):
 def _run_steps(psi, pulse, decay=None, jumps=None):
     """March states through the stepped pulse: the one MCWF engine.
 
+    `_ensemble_density` steps the samples with it and
+    `_calibrate_ensemble_rate` the nominal atom.
+
     psi has shape (blocks, samples, dim); per-sample terms broadcast
     over blocks, so several initial states step in one batch.  Matrix
     products stay per block, because BLAS rounds a single row unlike a
@@ -410,70 +397,6 @@ def _run_steps(psi, pulse, decay=None, jumps=None):
     return psi
 
 
-def _calibrate_rate(initial, pulse, basis, target, t):
-    """Unit-intensity jump rate whose no-jump survival is 1 - target."""
-    if target == 0:
-        return 0.0
-    if not 0 < target < 1:
-        raise ValueError("scattering probability must lie in [0, 1)")
-
-    def survival(gamma):
-        psi = initial[None, None, :].astype(complex)
-        psi = _run_steps(psi, pulse, (np.array([gamma]), basis))
-        return float(np.real(np.vdot(psi[0, 0], psi[0, 0])))
-
-    expect = float(np.real(np.vdot(initial, basis[1] @ initial)))
-    gamma = target / max(expect * t, 1e-300)
-    # survival is nearly exponential in the rate, so three updates suffice
-    for _ in range(3):
-        decay = -math.log(survival(gamma)) / gamma
-        gamma = -math.log1p(-target) / decay
-    return gamma
-
-
-_MCWF_STEPS = 400
-
-
-def mcwf_scattering(initial, p, t, trajectories, seed, *,
-                    target_probability=None):
-    """Quantum-trajectory average of the pulse with photon scattering.
-
-    Evolves under the light-shift Hamiltonian of `p` while jump
-    channels fire at the physical rate (linewidth / detuning) times the
-    light shift; `target_probability` rescales that rate so the no-jump
-    survival matches 1 - target exactly (0 disables scattering).  The
-    trajectories run through the stepped engine and rate calibration of
-    the ensemble average, with 400 equal steps.
-    """
-    if trajectories < 1:
-        raise ValueError("need at least one trajectory")
-    initial = np.asarray(initial, dtype=complex)
-    j = spin_of(initial)
-    h = light_shift_operator(p, make_operators(j))
-    rate = (p.linewidth / p.detuning) * h
-    basis = _jump_basis(int(round(2 * j)), tuple(complex(c) for c in p.polarization))
-    kmat = basis[1]
-    gamma = float(np.trace(rate).real / np.trace(kmat).real)
-    mismatch = np.max(np.abs(rate - gamma * kmat))
-    if mismatch > 1e-6 * max(np.max(np.abs(rate)), 1e-300):
-        raise ValueError("scattering rate is not proportional to the channel sum")
-    if gamma < 0:
-        raise ValueError("negative scattering rate; check the detuning sign")
-    w, v = np.linalg.eigh(h)
-    ones = np.ones(_MCWF_STEPS)
-    pulse = _Pulse(ones, ones, t / _MCWF_STEPS, (w[None], v[None]), None, None)
-    if target_probability is not None:
-        gamma = _calibrate_rate(initial, pulse, basis, target_probability, t)
-    # every trajectory is one sample of the same atom
-    n, dim = trajectories, initial.size
-    pulse = pulse._replace(light=(np.broadcast_to(w, (n, dim)),
-                                  np.broadcast_to(v, (n, dim, dim))))
-    draws = _jump_draws(seed, n, _MCWF_STEPS)[None]
-    psi = np.broadcast_to(initial, (1, n, dim))
-    psi = _run_steps(psi, pulse, (np.full(n, gamma), basis), (draws, seed))[0]
-    return np.einsum("ni,nk->ik", psi, psi.conj()) / n
-
-
 def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
     """Average the per-sample evolutions into a density matrix."""
     dim = initial.size
@@ -521,12 +444,30 @@ def _calibrate_ensemble_rate(initial, cfg, imp, t, ops):
 
     The rate belongs to the nominal atom (unit intensity, no
     ellipticity), so it depends on the physics alone and never on the
-    samples, the seed or the sampling.
+    samples, the seed or the sampling.  Its no-jump survival over the
+    pulse is 1 - the scattering probability.
     """
+    target = imp.scattering_probability
+    if target == 0:
+        return 0.0
+    if not 0 < target < 1:
+        raise ValueError("scattering probability must lie in [0, 1)")
     initial = np.asarray(initial, dtype=complex)
     pulse = _stepped_pulse(cfg, imp, ops, np.ones(1), np.zeros(1), t)
-    return _calibrate_rate(initial, pulse, _jump_basis(int(round(2 * ops.j))),
-                           imp.scattering_probability, t)
+    basis = _jump_basis(int(round(2 * ops.j)))
+
+    def survival(gamma):
+        psi = initial[None, None, :].astype(complex)
+        psi = _run_steps(psi, pulse, (np.array([gamma]), basis))
+        return float(np.real(np.vdot(psi[0, 0], psi[0, 0])))
+
+    expect = float(np.real(np.vdot(initial, basis[1] @ initial)))
+    gamma = target / max(expect * t, 1e-300)
+    # survival is nearly exponential in the rate, so three updates suffice
+    for _ in range(3):
+        decay = -math.log(survival(gamma)) / gamma
+        gamma = -math.log1p(-target) / decay
+    return gamma
 
 
 def ensemble_evolve(initial, cfg, imp, t, seed):

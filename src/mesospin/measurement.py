@@ -17,13 +17,11 @@ import numpy as np
 
 from .core import (
     Direction,
-    basis_state,
     expi_hermitian,
     m_values,
     make_operators,
     spin_of,
 )
-from .dephasing import gyromagnetic_ratio
 from .rng import substream
 
 __all__ = [
@@ -37,8 +35,6 @@ __all__ = [
     "equatorial_direction",
     "equatorial_scan",
     "ramsey_scan",
-    "by_pulse_map",
-    "tune_by_pulse",
 ]
 
 
@@ -186,80 +182,3 @@ def ramsey_scan(state, phis, pulse):
             rotated = u @ state @ u.conj().T
         out.append(projection_probs(rotated))
     return out
-
-
-_BY_PULSE_STEPS = 1000
-
-
-def _by_pulse_unitary(j, pulse_peak, duration, static_bz, gamma):
-    ops = make_operators(j)
-    dt = duration / _BY_PULSE_STEPS
-    hz = gamma * static_bz * ops.jz
-    u = np.eye(int(round(2 * j)) + 1, dtype=complex)
-    for k in range(_BY_PULSE_STEPS):
-        t_mid = (k + 0.5) * dt
-        by = pulse_peak * math.sin(math.pi * t_mid / duration) ** 2
-        u = expi_hermitian(gamma * by * ops.jy + hz, dt) @ u
-    return u
-
-
-def by_pulse_map(state, pulse_peak, duration, static_bz):
-    """Evolution under a smooth B_y pulse on top of a static B_z field.
-
-    The pulse B_y(t) = pulse_peak * sin^2(pi t / duration) (tesla) adds
-    to the static field static_bz along z; the state is propagated with
-    1000 equal midpoint time steps.  With the peak
-    amplitude tuned, this maps one equatorial spin direction onto +z.
-    """
-    if duration <= 0:
-        raise ValueError("pulse duration must be positive")
-    state = np.asarray(state)
-    gamma = gyromagnetic_ratio()
-    u = _by_pulse_unitary(spin_of(state), pulse_peak, duration, static_bz, gamma)
-    if state.ndim == 1:
-        return u @ state
-    return u @ state @ u.conj().T
-
-
-def tune_by_pulse(j, duration, static_bz):
-    """Peak field that makes the B_y pulse map an equatorial axis onto +z.
-
-    Returns (pulse_peak, phi) where phi is the equatorial scan angle of
-    the direction that is carried to +z (the pulse is a pure rotation,
-    so exactly one direction is; it lies on the equator when the peak is
-    tuned right).  The peak is searched between 0.25 and 1.75 times
-    pi / (gamma duration), the peak of a quarter turn without the
-    static field, by regula falsi with the Illinois modification.
-    """
-    gamma = gyromagnetic_ratio()
-    ops = make_operators(j)
-    top = basis_state(j, j)
-
-    def mapped_direction(peak):
-        u = _by_pulse_unitary(j, peak, duration, static_bz, gamma)
-        psi = u.conj().T @ top
-        return np.array(
-            [float(np.real(np.vdot(psi, op @ psi))) / j for op in (ops.jx, ops.jy, ops.jz)]
-        )
-
-    # sin^2 pulse area gamma*peak*duration/2: a quarter turn needs ~pi/2
-    scale = math.pi / (gamma * duration)
-    # b is the newest iterate and a the other end of the bracket; an end
-    # that is kept has its value halved (Illinois)
-    a, b = 0.25 * scale, 1.75 * scale
-    f_a, f_b = mapped_direction(a)[2], mapped_direction(b)[2]
-    if f_a * f_b > 0:
-        raise ValueError("the peak search bracket holds no sign change")
-    while True:
-        peak = float(b - f_b * (b - a) / (f_b - f_a))
-        if abs(b - a) <= 1e-18 or not min(a, b) < peak < max(a, b):
-            break
-        f_peak = mapped_direction(peak)[2]
-        if f_peak * f_b < 0:
-            a, f_a = b, f_b
-        else:
-            f_a /= 2
-        b, f_b = peak, f_peak
-    nx, ny, _ = mapped_direction(peak)
-    phi = (-math.atan2(ny, nx)) % (2 * math.pi)
-    return peak, phi

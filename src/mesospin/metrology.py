@@ -35,7 +35,6 @@ __all__ = [
     "parity_curve",
     "magnetization_curve",
     "variance_curve",
-    "phase_uncertainty",
     "gain_from_parity",
     "parity_gain_from_contrast",
     "hellinger_distance",
@@ -46,8 +45,6 @@ __all__ = [
     "fisher_information",
     "fisher_gain",
     "variance_bound",
-    "sql_phase_uncertainty",
-    "heisenberg_phase_uncertainty",
 ]
 
 
@@ -117,35 +114,6 @@ def magnetization_curve(scan):
 
 def variance_curve(scan):
     return np.array([variance(d) for d in scan.distributions])
-
-
-def sql_phase_uncertainty(j):
-    """Standard quantum limit 1/sqrt(2j)."""
-    return 1.0 / math.sqrt(2 * j)
-
-
-def heisenberg_phase_uncertainty(j):
-    """Heisenberg limit 1/(2j)."""
-    return 1.0 / (2 * j)
-
-
-def phase_uncertainty(phis, means, variances, phi):
-    """Single-shot phase uncertainty  delta_phi = delta_O / |d<O>/dphi|.
-
-    The derivative is taken by centered finite differences on the grid;
-    a stationary point of the mean curve makes the phase unusable and
-    raises ValueError.
-    """
-    phis = np.asarray(phis, dtype=float)
-    means = np.asarray(means, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    i = int(np.argmin(np.abs(phis - phi)))
-    lo, hi = max(i - 1, 0), min(i + 1, len(phis) - 1)
-    slope = (means[hi] - means[lo]) / (phis[hi] - phis[lo])
-    scale = max(np.max(np.abs(means)), 1.0) / (phis[-1] - phis[0])
-    if abs(slope) < 1e-12 * scale:
-        raise ValueError(f"mean curve is stationary at phi={phi}; unusable")
-    return math.sqrt(max(variances[i], 0.0)) / abs(slope)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Commands run in process through `mesospin.cli.main`, which returns the
 exit code that the console script would report.
 """
 
+import ast
 import hashlib
 import json
 import math
@@ -179,6 +180,14 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["parity", "--config", str(bad)]) == 2
     assert "'ensemble_samples' must be an integer" in capsys.readouterr().err
+    for section, key, value in (("coupling", "omega_rad_per_s", "1.2e7"),
+                                ("coupling", "omega_rad_per_s", 0.0),
+                                ("imperfections", "scattering_probability", 1.0)):
+        doc = config_to_json(default_config())
+        doc[section][key] = value
+        bad.write_text(json.dumps(doc))
+        assert main(["parity", "--config", str(bad)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     with pytest.raises(SystemExit) as info:
         main(["parity", "--format", "parquet"])
@@ -313,3 +322,122 @@ def test_cli_imports_no_third_party_package_but_numpy():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.strip() == "['mesospin']"
+
+
+# Library definitions that no command, demo, acceptance test or
+# benchmark run reaches, kept because a test holds other code to them
+REFERENCES = (
+    ("tomography.forward_model",
+     "objective of test_sampled_fit_is_certified_optimal"),
+    ("tomography.reconstruct_density",
+     "round trip of multipole_decompose, which wigner uses"),
+    ("tomography.dataset_to_json", "writes this file's --dataset fixtures"),
+    ("dynamics.LightShiftParams", "drive of the light-shift model below"),
+    ("dynamics.light_shift_operator",
+     "the model scattering_channels and _hamiltonian_parts are held to"),
+    ("dynamics._v0_over_hbar", "scale of light_shift_operator"),
+    ("dynamics.SPEED_OF_LIGHT", "the c in _v0_over_hbar"),
+    ("dynamics.coupling_rate", "omega of a light-shift drive"),
+    ("dynamics.intensity_for_coupling", "drive intensity of a given omega"),
+    ("dynamics.elliptical_polarization", "drive of a given ellipticity"),
+    ("core.Y_AXIS", "the y axis that test_core checks beside X_AXIS and Z_AXIS"),
+    ("core.dimension", "the 2j+1 that test_core checks operators against"),
+    ("core.projector", "builds the mixed states of test_fidelity_cases"),
+)
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_library_holds_only_what_commands_demos_and_paper_checks_reach():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package = os.path.join(root, "src", "mesospin")
+
+    def parse(path):
+        with open(path, encoding="utf-8") as handle:
+            return ast.parse(handle.read())
+
+    trees = {name[:-3]: parse(os.path.join(package, name))
+             for name in os.listdir(package) if name.endswith(".py")}
+    # per module: its top-level definitions and the (module, name) of
+    # each mesospin name it imports; a reference resolves to the
+    # (module, name) of a definition, or to (module, None) for a module
+    defs = {mod: {} for mod in trees}
+    imports = {mod: {} for mod in trees}
+
+    def read_imports(scope, tree):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                mod = node.module or "__init__"
+            elif (node.module or "").split(".")[0] == "mesospin":
+                mod = node.module.partition(".")[2] or "__init__"
+            else:
+                continue
+            for alias in node.names:
+                imports[scope][alias.asname or alias.name] = (mod, alias.name)
+
+    for mod, tree in trees.items():
+        read_imports(mod, tree)
+        for node in tree.body:
+            for name in _defined_names(node):
+                defs[mod][name] = node
+
+    def lookup(mod, name):
+        if name in defs[mod]:
+            return mod, name
+        if mod == "__init__" and name in trees:
+            return name, None
+        if name in imports[mod]:
+            return lookup(*imports[mod][name])
+        return None
+
+    def resolve(scope, node):
+        # an assignment target names a new value, not a definition
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            return None
+        if isinstance(node, ast.Name):
+            return lookup(scope, node.id)
+        if isinstance(node, ast.Attribute):
+            base = resolve(scope, node.value)
+            if base is not None and base[1] is None:
+                return lookup(base[0], node.attr)
+        return None
+
+    def references(scope, tree):
+        found = (resolve(scope, node) for node in ast.walk(tree))
+        return {ref for ref in found if ref is not None and ref[1] is not None}
+
+    # roots: the CLI's definitions and what the demos, acceptance tests
+    # and benchmark use
+    roots = {("cli", name) for name in defs["cli"]}
+    outside = [os.path.join(root, "tests", "test_acceptance.py")]
+    for folder in ("demos", "perfbench"):
+        outside += [os.path.join(root, folder, name)
+                    for name in sorted(os.listdir(os.path.join(root, folder)))
+                    if name.endswith(".py")]
+    for path in outside:
+        scope, tree = path, parse(path)
+        defs[scope], imports[scope] = {}, {}
+        read_imports(scope, tree)
+        roots |= references(scope, tree)
+
+    reached, todo = set(), list(roots)
+    while todo:
+        ref = todo.pop()
+        if ref not in reached:
+            reached.add(ref)
+            todo.extend(references(ref[0], defs[ref[0]][ref[1]]))
+    kept = {tuple(name.split(".")) for name, _ in REFERENCES}
+    library = {(mod, name) for mod in trees if mod != "__init__"
+               for name in defs[mod] if not name.startswith("__")}
+    assert sorted(".".join(ref) for ref in library - reached - kept) == []
+    # every kept reference exists and is reached no other way
+    assert sorted(".".join(ref) for ref in kept - library) == []
+    assert sorted(".".join(ref) for ref in kept & reached) == []

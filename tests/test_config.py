@@ -147,6 +147,25 @@ def test_run_config_validation():
         config_from_json(fractional)
     # an integral float is the integer it spells
     assert config_from_json(mutate(atom_total=90000.0)).atom_total == 90000
+    # float settings are finite JSON numbers: float("1.2e7") and
+    # float(True) would parse
+    for value in ("1.2e7", True, math.nan, math.inf):
+        bad_omega = json.loads(canonical_json(doc))
+        bad_omega["coupling"]["omega_rad_per_s"] = value
+        with pytest.raises(ValueError):
+            config_from_json(bad_omega)
+    with pytest.raises(ValueError):
+        config_from_json(mutate(j="8"))
+    quoted_time = json.loads(canonical_json(doc))
+    quoted_time["noise"] = {"kind": "static-gaussian",
+                            "coherence_time_s": "7.4e-4"}
+    with pytest.raises(ValueError):
+        config_from_json(quoted_time)
+    # every command times its pulse by omega
+    still = json.loads(canonical_json(doc))
+    still["coupling"]["omega_rad_per_s"] = 0.0
+    with pytest.raises(ValueError):
+        config_from_json(still)
 
 
 def _retired_documents():

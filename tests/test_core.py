@@ -19,8 +19,6 @@ from mesospin import (
     m_values,
     make_operators,
     projector,
-    rotate,
-    rotation_matrix,
     spin_of,
     spin_variance,
 )
@@ -110,25 +108,6 @@ def test_expi_hermitian_is_unitary(j, angle):
                                atol=1e-10)
 
 
-def test_rotation_matrix_matches_axis_exponential():
-    ops = make_operators(2)
-    axis = Direction(0.9, 0.3)
-    angle = 1.234
-    gen = sum(c * op for c, op in zip(axis.vector, (ops.jx, ops.jy, ops.jz)))
-    np.testing.assert_allclose(rotation_matrix(2, axis, angle),
-                               expi_hermitian(gen, angle), atol=1e-12)
-
-
-def test_rotate_state_and_density_consistent():
-    psi = basis_state(2, 1, Direction(0.3, 0.2))
-    rho = np.outer(psi, psi.conj())
-    axis = Direction(1.0, -0.4)
-    psi_r = rotate(psi, axis, 0.77)
-    rho_r = rotate(rho, axis, 0.77)
-    np.testing.assert_allclose(rho_r, np.outer(psi_r, psi_r.conj()),
-                               atol=1e-12)
-
-
 def test_expectation_and_variance():
     ops = make_operators(8)
     v = basis_state(8, 3)
@@ -156,12 +135,3 @@ def test_fidelity_cases():
 def test_spin_of_infers_from_shape():
     assert spin_of(basis_state(8, 0)) == 8.0
     assert spin_of(np.eye(4)) == 1.5
-
-
-@given(st.integers(min_value=0, max_value=16), angles, angles)
-@settings(max_examples=40, deadline=None)
-def test_rotation_preserves_norm_and_overlaps(idx, theta, phi):
-    v = basis_state(8, idx - 8)
-    axis = Direction(abs(theta) % math.pi, phi)
-    w = rotate(v, axis, theta)
-    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-10)

@@ -13,17 +13,14 @@ from mesospin import (
     basis_state,
     coherence_ratio,
     ensemble_evolve,
-    evolve,
     fidelity,
     intensity_for_coupling,
     kitten_state,
     light_shift_operator,
     magnetization,
     make_operators,
-    mcwf_scattering,
     projection_probs,
     scattering_channels,
-    scattering_probability,
     spin_of,
 )
 from mesospin import ensemble
@@ -105,6 +102,9 @@ def test_imperfection_config_validation():
         ImperfectionConfig(ensemble_samples=0)
     with pytest.raises(ValueError):
         ImperfectionConfig(field_axis_components=(0.0, 0.0, 0.0))
+    # certain scattering leaves no survival to calibrate the rate on
+    with pytest.raises(ValueError):
+        ImperfectionConfig(scattering_probability=1.0)
     imp = ImperfectionConfig(field_axis_components=(0.09, -0.11, 0.98))
     assert np.linalg.norm(imp.field_axis) == pytest.approx(1.0, abs=1e-12)
 
@@ -194,47 +194,6 @@ def test_scattering_channel_sum_matches_light_shift():
     assert np.allclose(kmat, kmat.conj().T, atol=1e-14)
     assert np.linalg.eigvalsh(kmat).min() > -1e-12
     assert len(channels) == 3
-
-
-def test_scattering_probability_matches_perturbative_integral():
-    p = _light_params()
-    got = scattering_probability(DOWN, p, T_KITTEN)
-    # first order: integrate the jump rate along the unperturbed path
-    ops = make_operators(8.0)
-    h = light_shift_operator(p, ops)
-    rate = (p.linewidth / p.detuning) * h
-    times = np.linspace(0.0, T_KITTEN, 201)
-    expect = [
-        float(np.real(np.vdot(psi, rate @ psi)))
-        for psi in (evolve(DOWN, h, t) for t in times)
-    ]
-    estimate = 1.0 - math.exp(-np.trapezoid(expect, times))
-    assert 0.0 < got < 0.05
-    assert got == pytest.approx(estimate, rel=0.01)
-
-
-def test_mcwf_zero_target_reproduces_unitary_evolution():
-    p = _light_params()
-    rho = mcwf_scattering(DOWN, p, T_KITTEN, 3, 0, target_probability=0.0)
-    psi = evolve(DOWN, light_shift_operator(p, make_operators(8.0)), T_KITTEN)
-    assert fidelity(rho, psi) > 1 - 1e-10
-
-
-def test_mcwf_small_target_stays_close_to_kitten():
-    p = _light_params()
-    a = mcwf_scattering(DOWN, p, T_KITTEN, 40, 0, target_probability=0.007)
-    b = mcwf_scattering(DOWN, p, T_KITTEN, 40, 0, target_probability=0.007)
-    assert np.array_equal(a, b)
-    assert np.trace(a).real == pytest.approx(1.0, abs=1e-9)
-    assert fidelity(a, KITTEN) > 0.99
-
-
-def test_mcwf_validation():
-    p = _light_params()
-    with pytest.raises(ValueError):
-        mcwf_scattering(DOWN, p, T_KITTEN, 0, 0)
-    with pytest.raises(ValueError):
-        mcwf_scattering(DOWN, p, T_KITTEN, 2, 0, target_probability=1.0)
 
 
 def _default_physics(samples=10):

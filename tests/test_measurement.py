@@ -1,4 +1,4 @@
-"""Projection measurements, equatorial scans, and the mapping pulse."""
+"""Projection measurements and equatorial and Ramsey scans."""
 
 import math
 
@@ -12,11 +12,9 @@ from mesospin import (
     ProjectionDistribution,
     X_AXIS,
     basis_state,
-    by_pulse_map,
     equatorial_direction,
     equatorial_scan,
     expi_hermitian,
-    fidelity,
     kitten_state,
     magnetization,
     make_operators,
@@ -24,7 +22,6 @@ from mesospin import (
     projection_probs,
     ramsey_scan,
     sample_counts,
-    tune_by_pulse,
     variance,
 )
 
@@ -168,20 +165,3 @@ def test_probabilities_are_a_distribution_for_any_axis(theta, phi):
     p = dist.probabilities
     assert p.min() >= 0.0
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_by_pulse_tuning_maps_equator_to_pole():
-    duration = 3e-6
-    static_bz = 1.85e-6
-    peak, phi = tune_by_pulse(8.0, duration, static_bz)
-    assert phi - math.pi == pytest.approx(0.355, abs=0.02)
-    start = basis_state(8, 8, equatorial_direction(phi))
-    mapped = by_pulse_map(start, peak, duration, static_bz)
-    assert fidelity(mapped, basis_state(8, 8)) > 0.999
-
-
-def test_by_pulse_map_is_unitary_and_validates_duration():
-    psi = by_pulse_map(basis_state(8, 8, X_AXIS), 1e-5, 3e-6, 1.85e-6)
-    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        by_pulse_map(basis_state(8, 8), 1e-5, 0.0, 1.85e-6)

@@ -18,14 +18,11 @@ from mesospin import (
     gain_from_hellinger,
     gain_from_magnetization,
     gain_from_parity,
-    heisenberg_phase_uncertainty,
     hellinger_distance,
     kitten_state,
     parity_gain_from_contrast,
-    phase_uncertainty,
     projection_probs,
     sample_scan,
-    sql_phase_uncertainty,
     variance_bound,
 )
 
@@ -37,11 +34,6 @@ COHERENT = basis_state(J, J, X_AXIS)
 def _hellinger_grid():
     w = 0.3 / (2 * J)
     return np.linspace(0.0, 3 * w, 25)
-
-
-def test_limit_values():
-    assert sql_phase_uncertainty(J) == pytest.approx(0.25, abs=1e-15)
-    assert heisenberg_phase_uncertainty(J) == pytest.approx(0.0625, abs=1e-15)
 
 
 def test_phase_scan_validation():
@@ -67,22 +59,6 @@ def test_sampled_scan_is_deterministic_and_needs_seed():
         assert np.array_equal(d1.counts, d3.counts)
     with pytest.raises(ValueError):
         equatorial_phase_scan(KITTEN, phis, atom_total=1000)
-
-
-def test_phase_uncertainty_from_linear_mean_curve():
-    phis = np.linspace(0.0, 1.0, 11)
-    assert phase_uncertainty(phis, 3 * phis, np.full(11, 0.36), 0.5) == pytest.approx(
-        0.2, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        phase_uncertainty(phis, np.ones(11), np.full(11, 0.36), 0.5)
-
-
-def test_parity_readout_reaches_heisenberg_uncertainty():
-    phis = np.linspace(0.0, math.pi / 8, 129)
-    p = np.sin(16 * phis)
-    got = phase_uncertainty(phis, p, 1 - p**2, 0.0)
-    assert got == pytest.approx(heisenberg_phase_uncertainty(J), rel=1e-3)
 
 
 def test_parity_gain_of_ideal_superposition():
