@@ -127,15 +127,23 @@ def _write_text(path, text):
     return hashlib.sha256(data).hexdigest()
 
 
-def _update_manifest(out_dir, name, files, meta):
+class _InputError(Exception):
+    """A malformed auxiliary input file: a configuration error."""
+
+
+def _read_manifest(out_dir):
+    """The manifest in out_dir, an object of objects, or None without one."""
     path = os.path.join(out_dir, _MANIFEST)
-    doc = {"schema_version": 1, "artifacts": {}}
-    if os.path.exists(path):
+    if not os.path.exists(path):
+        return None
+    try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    doc.setdefault("artifacts", {})
-    doc["artifacts"][name] = {"files": files, "metadata": meta}
-    _write_text(path, canonical_json(doc))
+        if all(isinstance(e["files"], dict) for e in doc["artifacts"].values()):
+            return doc
+    except (ValueError, TypeError, LookupError, AttributeError) as exc:
+        raise _InputError(f"malformed manifest {path}: {exc!r}") from exc
+    raise _InputError(f"malformed manifest {path}: file lists must be objects")
 
 
 def _load_existing(out_dir, name, fmt):
@@ -192,6 +200,7 @@ def write_artifact(cfg, name, columns, records, summary, *, merge=False,
     """
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
+    manifest = _read_manifest(out_dir) or {"schema_version": 1, "artifacts": {}}
     meta = _metadata(cfg)
     if merge:
         old_records, old_summary = _load_existing(out_dir, name, cfg.out_format)
@@ -217,7 +226,8 @@ def write_artifact(cfg, name, columns, records, summary, *, merge=False,
     for key, (ecols, erecs) in (extras or {}).items():
         ename = f"{name}.{key}.{ext}"
         files[ename] = _write_table(out_dir, ename, meta, ecols, erecs)
-    _update_manifest(out_dir, name, files, meta)
+    manifest["artifacts"][name] = {"files": files, "metadata": meta}
+    _write_text(os.path.join(out_dir, _MANIFEST), canonical_json(manifest))
     return files
 
 
@@ -396,10 +406,6 @@ def cmd_hellinger(cfg):
                    records, summary)
 
 
-class _InputError(Exception):
-    """A malformed auxiliary input file: a configuration error."""
-
-
 def _read_dataset(path):
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -537,15 +543,13 @@ def cmd_budget(cfg):
 
 def cmd_verify(out_dir):
     """Re-check artifact payload hashes against the manifest."""
-    path = os.path.join(out_dir, _MANIFEST)
-    if not os.path.exists(path):
-        print(f"no manifest at {path}", file=sys.stderr)
+    doc = _read_manifest(out_dir)
+    if doc is None:
+        print(f"no manifest at {os.path.join(out_dir, _MANIFEST)}", file=sys.stderr)
         return EXIT_CONFIG
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
     failures = 0
-    for name, entry in sorted(doc.get("artifacts", {}).items()):
-        for fname, expected in sorted(entry.get("files", {}).items()):
+    for name, entry in sorted(doc["artifacts"].items()):
+        for fname, expected in sorted(entry["files"].items()):
             fpath = os.path.join(out_dir, fname)
             if not os.path.exists(fpath):
                 print(f"missing  {fname}")
@@ -594,9 +598,9 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "verify":
-        return cmd_verify(cfg.out_dir)
     try:
+        if args.command == "verify":
+            return cmd_verify(cfg.out_dir)
         if args.command == "evolve":
             cmd_evolve(cfg)
         elif args.command == "parity":

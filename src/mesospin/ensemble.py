@@ -10,20 +10,22 @@ imperfections yields the mixed state actually probed, and each effect
 can be toggled individually to budget its impact.
 
 Photon scattering uses the Monte Carlo wavefunction (MCWF) method:
-between jumps the state evolves under H - (i/2) sum L_q^dag L_q, and
-detected decay triggers a quantum jump through one of the Rayleigh/Raman
-channels of the J -> J+1 transition.  One stepped engine, `_run_steps`,
-serves every stepped evolution: the ensemble average with a finite
-rise time or scattering, in which the main and leak starters step in
-one batch, and the calibration of the jump rate on the nominal atom.
-Each step lasts at most PULSE_STEP_S and takes the exact means of the
-rise envelope and of its square over the step: each sample's light,
-quartic and decay terms commute with themselves at every envelope
-value, so only the Strang splitting against the static field is left
-to converge.  The jump rate is calibrated once per ensemble call, on
-the nominal atom alone, so it depends on the physics (initial state,
-coupling, field axis, rise time, scattering probability and pulse
-time) and never on the samples or the seed.
+between jumps the state evolves under H - (i/2) sum L_q^dag L_q, and it
+jumps through one of the Rayleigh/Raman channels of the J -> J+1
+transition once its squared norm falls below a uniform threshold, one
+draw per jump (Dum, Zoller & Ritsch, PRA 45, 4879 (1992)).  One stepped
+engine, `_run_steps`, serves every stepped evolution: the ensemble
+average with a finite rise time or scattering, in which the main and
+leak starters step in one batch, and the calibration of the jump rate
+on the nominal atom.  Each step lasts at most PULSE_STEP_S and takes
+the exact means of the rise envelope and of its square over the step:
+each sample's light, quartic and decay terms commute with themselves at
+every envelope value, so only the Strang splitting against the static
+field is left to converge.  These step errors hold between jumps; a
+jump's time is resolved to one step.  The jump rate is calibrated once
+per ensemble call, on the nominal atom alone, so it depends on the
+physics (initial state, coupling, field axis, rise time, scattering
+probability and pulse time) and never on the samples or the seed.
 """
 
 from __future__ import annotations
@@ -254,6 +256,8 @@ def _jump_basis(two_j):
 # within 1.8e-5 (j = 4) and 4.1e-5 (j = 8) in Frobenius norm of a
 # 0.05 ns reference, less than a 1 ns grid of midpoint envelope values
 # leaves (2.9e-5 and 4.5e-5).  The kitten pulse (174.7 ns) takes 50 steps.
+# A jump's time is resolved to one step: on a 0.5 ns grid, j = 8, 40
+# samples and seeds 0-39 jump as often and rho moves by at most 3.9e-3.
 PULSE_STEP_S = 3.5e-9
 # The rise dominates short pulses; 24 steps keep the first ten fig2
 # pulse times (areas of 3-32 ns, j = 8, no scattering) within 2.8e-5.
@@ -318,12 +322,7 @@ def _stepped_pulse(cfg, imp, ops, f, eps, t):
     return _Pulse(env, env2, ds, np.linalg.eigh(light), quartic_eig, field_half)
 
 
-def _jump_draws(seed, n, n_steps):
-    """Per-sample uniforms: one jump test per step, then 8 channel picks."""
-    return np.stack([substream(seed, 1, i).random(n_steps + 8) for i in range(n)])
-
-
-def _run_steps(psi, pulse, decay=None, jumps=None):
+def _run_steps(psi, pulse, decay=None, seed=None):
     """March states through the stepped pulse: the one MCWF engine.
 
     `_ensemble_density` steps the samples with it and
@@ -336,12 +335,14 @@ def _run_steps(psi, pulse, decay=None, jumps=None):
     quartic and decay terms in their eigenbases at the step's mean
     envelope (its mean squared envelope for the quartic term), then the
     other half of the field.  decay = (rates, basis) holds each
-    sample's jump rate and its _jump_basis.  With jumps None the norm
-    simply decays (the rate calibration integrates that).  Otherwise
-    jumps = (draws, seed): state (b, i) jumps at step k when
-    draws[b, i, k] is below its step's decay probability and picks its
-    channel with the trailing draws, refilled in place from
-    substream(seed, 2, i, ...) once used up.
+    sample's jump rate and its _jump_basis; states are never
+    renormalised, so their norms decay, which is all the rate
+    calibration (seed None) needs.  With a seed, state (b, i) jumps at
+    the end of the first step that takes its squared norm below a
+    uniform threshold from substream(seed, 1, i, 0); its k-th jump
+    draws the channel pick and the next threshold from
+    substream(seed, 1, i, k), shared by every block.  The PULSE_STEP_S
+    errors hold between jumps; a jump's time is resolved to one step.
     """
     wa, va = pulse.light
     va_h, va_t = va.conj(), va.transpose(0, 2, 1)
@@ -356,11 +357,11 @@ def _run_steps(psi, pulse, decay=None, jumps=None):
         rates, (channels, _, kw, kv) = decay
         decay_exponent = -0.5 * rates[:, None] * kw[None, :]
         kv_c, kv_t = kv.conj(), kv.T
-    if jumps is not None:
-        draws, seed = jumps
-        n_steps = pulse.env.size
-        extra = np.full(psi.shape[:2], n_steps)
-    for k, (e_k, e2_k) in enumerate(zip(pulse.env, pulse.env2)):
+        if seed is not None:
+            first = [substream(seed, 1, i, 0).random() for i in range(psi.shape[1])]
+            threshold = np.tile(first, (psi.shape[0], 1))
+            jumps = np.zeros(psi.shape[:2], dtype=int)
+    for e_k, e2_k in zip(pulse.env, pulse.env2):
         if field_t is not None:
             psi = psi @ field_t
         # one row per (block, sample) against its sample's basis, so a
@@ -375,23 +376,14 @@ def _run_steps(psi, pulse, decay=None, jumps=None):
         if decay is not None:
             amp = psi @ kv_c
             amp *= np.exp(decay_exponent * (e_k * ds))
-            decayed = amp @ kv_t
-            if jumps is None:
-                psi = decayed
-            else:
-                norms = np.real(np.einsum("bni,bni->bn", decayed, decayed.conj()))
-                ref = np.real(np.einsum("bni,bni->bn", psi, psi.conj()))
-                jump = draws[:, :, k] < 1.0 - norms / ref
-                psi = decayed / np.sqrt(norms)[:, :, None]
-                for b, i in zip(*np.nonzero(jump)):
-                    psi[b, i] = _apply_jump(decayed[b, i], channels,
-                                            draws[b, i, extra[b, i]])
-                    extra[b, i] += 1
-                    if extra[b, i] >= draws.shape[2]:
-                        draws[b, i, n_steps:] = substream(
-                            seed, 2, i, int(extra[b, i])
-                        ).random(draws.shape[2] - n_steps)
-                        extra[b, i] = n_steps
+            psi = amp @ kv_t
+            if seed is not None:
+                norms = np.real(np.einsum("bni,bni->bn", psi, psi.conj()))
+                for b, i in zip(*np.nonzero(norms < threshold)):
+                    jumps[b, i] += 1
+                    pick, threshold[b, i] = substream(
+                        seed, 1, i, int(jumps[b, i])).random(2)
+                    psi[b, i] = _apply_jump(psi[b, i], channels, pick)
         if field_t is not None:
             psi = psi @ field_t
     return psi
@@ -421,17 +413,14 @@ def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
         return rho / n
 
     pulse = _stepped_pulse(cfg, imp, ops, f, eps, t)
-    decay = jumps = None
+    decay = None
     if imp.scattering_probability > 0 and t > 0:
         gamma = _calibrate_ensemble_rate(initial, cfg, imp, t, ops)
         decay = (gamma * f, _jump_basis(int(round(2 * ops.j))))
-        # each starter's copy of a sample consumes the same draws
-        draws = _jump_draws(seed, n, pulse.env.size)
-        jumps = (np.stack([draws] * len(starters)), seed)
     # one block per starter, stepped in one batch
     psi = np.stack([np.repeat(psi0[None, :], n, axis=0)
                     for _, psi0 in starters]).astype(complex)
-    psi = _run_steps(psi, pulse, decay, jumps)
+    psi = _run_steps(psi, pulse, decay, seed)
     norms = np.real(np.einsum("bni,bni->bn", psi, psi.conj()))
     psi = psi / np.sqrt(norms)[:, :, None]
     for (weight, _), block in zip(starters, psi):

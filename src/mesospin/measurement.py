@@ -63,6 +63,8 @@ class ProjectionDistribution:
             raise DimensionError(f"{p.size} projection probabilities for "
                                  f"j = {self.j:g}, which has 2j+1 = "
                                  f"{outcomes:g} outcomes")
+        if not np.isfinite(p).all():  # NaN passes the comparisons below
+            raise ValueError("non-finite projection probability")
         if p.min() < -1e-10:
             raise ValueError("negative projection probability")
         if abs(p.sum() - 1.0) > 1e-10:

@@ -189,6 +189,16 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
         assert main(["parity", "--config", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    # a malformed manifest in the output directory stops the command
+    # before it writes a payload
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text(json.dumps({"artifacts": []}))
+    assert main(["parity", "--config", config_path, "--out", str(out),
+                 "--samples", "1"]) == 2
+    assert "malformed manifest" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     with pytest.raises(SystemExit) as info:
         main(["parity", "--format", "parquet"])
     assert info.value.code == 2
@@ -238,6 +248,19 @@ def test_dataset_errors(config_path, tmp_path, capsys):
                  "--dataset", str(corrupt)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
+    # NaN probabilities, given or from all-zero counts (0/0), are named
+    # before the fit starts
+    for key, values in (("z_probs", [float("nan")] * 17), ("z_counts", [0] * 17)):
+        doc = dataset_to_json(data)
+        doc.pop("z_probs")
+        doc[key] = values
+        corrupt.write_text(json.dumps(doc))
+        assert main(["tomo", "--config", config_path, "--out", str(tmp_path),
+                     "--dataset", str(corrupt)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "non-finite projection probability" in err
+
 
 def test_tomo_dataset_sets_j(config_path, tmp_path):
     # a J = 4 dataset under the J = 8 configuration
@@ -278,6 +301,15 @@ def test_verify_reports_ok_missing_and_mismatch(config_path, tmp_path, capsys):
     empty.mkdir()
     assert main(["verify", "--out", str(empty)]) == 2
     assert "no manifest" in capsys.readouterr().err
+
+    # a manifest that is no JSON, or whose file list is no object
+    manifest = tmp_path / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["artifacts"]["fig3a"]["files"] = ["fig3a.csv"]
+    for text in ("{not json", json.dumps(doc)):
+        manifest.write_text(text)
+        assert main(["verify", "--out", str(tmp_path)]) == 2
+        assert "malformed manifest" in capsys.readouterr().err
 
 
 def test_tomo_with_external_dataset(config_path, tmp_path):

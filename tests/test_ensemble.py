@@ -228,6 +228,35 @@ def test_production_step_meets_its_stated_error(j, bound, monkeypatch):
     assert np.linalg.norm(rho - reference) < bound
 
 
+# which samples jump follows the seed, not the step grid: on a 0.5 ns
+# grid every call jumps as often as at the production step, and rho
+# moves by at most 3.9e-3 (seed 10), the error of one step in one jump
+# time
+def test_jumps_do_not_depend_on_the_step_grid(monkeypatch):
+    coupling, imp = _default_physics(40)
+    jumps = [0]
+    apply_jump = ensemble._apply_jump
+
+    def counting(*args):
+        jumps[0] += 1
+        return apply_jump(*args)
+
+    monkeypatch.setattr(ensemble, "_apply_jump", counting)
+    steps = (ensemble.PULSE_STEP_S, 0.5e-9)
+    jumped = 0
+    for seed in range(16):
+        counts, rhos = [], []
+        for step in steps:
+            monkeypatch.setattr(ensemble, "PULSE_STEP_S", step)
+            jumps[0] = 0
+            rhos.append(ensemble_evolve(DOWN, coupling, imp, T_KITTEN, seed))
+            counts.append(jumps[0])
+        assert counts[0] == counts[1]
+        assert np.linalg.norm(rhos[0] - rhos[1]) < 5e-3
+        jumped += counts[0] > 0
+    assert jumped >= 3
+
+
 def test_kitten_pulse_step_count():
     coupling, imp = _default_physics()
     steps = ensemble.pulse_steps(imp, T_KITTEN)
@@ -283,12 +312,12 @@ def test_calibrated_rate_follows_the_physics():
     assert doubled == pytest.approx(2 * rate, rel=0.02)
 
 
-# 0.5: most samples jump; 1 - 1e-7: about 16 jumps each, so the
-# channel-pick draws are refilled from the replenishment substream
+# 0.5: most samples jump; 1 - 1e-7: about 16 jumps each, so each
+# trajectory draws from its substreams up to about k = 16
 @pytest.mark.parametrize("samples, probability", [(1, 0.5), (3, 0.5), (3, 1 - 1e-7)])
 def test_batched_starters_match_starters_stepped_alone(samples, probability):
-    # reference: each starter stepped on its own with its own copy of
-    # the draws.  BLAS rounds a one-row product unlike a stack of rows,
+    # reference: each starter stepped on its own, drawing from the same
+    # substreams.  BLAS rounds a one-row product unlike a stack of rows,
     # so the batch must keep the starters' products apart to match.
     coupling, imp = _default_physics(samples)
     imp = replace(imp, scattering_probability=probability)
@@ -297,12 +326,11 @@ def test_batched_starters_match_starters_stepped_alone(samples, probability):
     pulse = ensemble._stepped_pulse(coupling, imp, ops, f, eps, T_KITTEN)
     rate = _calibrate_ensemble_rate(DOWN, coupling, imp, T_KITTEN, ops)
     decay = (rate * f, ensemble._jump_basis(16))
-    draws = ensemble._jump_draws(2, samples, pulse.env.size)
     expect = np.zeros((17, 17), dtype=complex)
     for weight, start in ((1.0 - imp.initial_leak_fraction, DOWN),
                           (imp.initial_leak_fraction, basis_state(8, -7))):
         psi = np.repeat(start[None, None], samples, axis=1)
-        psi = ensemble._run_steps(psi, pulse, decay, (draws[None].copy(), 2))[0]
+        psi = ensemble._run_steps(psi, pulse, decay, 2)[0]
         norms = np.real(np.einsum("ni,ni->n", psi, psi.conj()))
         psi = psi / np.sqrt(norms)[:, None]
         expect += weight * np.einsum("ni,nk->ik", psi, psi.conj())

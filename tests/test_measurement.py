@@ -68,6 +68,10 @@ def test_distribution_validation():
     negative[3] = 1.2
     with pytest.raises(ValueError):
         ProjectionDistribution(j=8.0, axis=Direction(0, 0), probabilities=negative)
+    # NaN passes the sign and sum checks, so finiteness is checked first
+    for bad in (np.full(17, np.nan), np.where(good > 0, np.inf, 0.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            ProjectionDistribution(j=8.0, axis=Direction(0, 0), probabilities=bad)
     # nine entries are the outcomes of j = 4, not of j = 4.5
     with pytest.raises(DimensionError, match="9 projection probabilities"):
         ProjectionDistribution(j=4.5, axis=Direction(0, 0), probabilities=good[:9])
