@@ -65,19 +65,14 @@ from .dephasing import (
 )
 from .dynamics import (
     CouplingConfig,
-    LightShiftParams,
     analytic_mz,
     analytic_varz,
     collapse_time,
-    coupling_rate,
-    elliptical_polarization,
     evolve,
     gaussian_mz,
     gaussian_varz,
     hamiltonian,
-    intensity_for_coupling,
     kitten_state,
-    light_shift_operator,
     oat_closed_form,
     revival_state,
 )

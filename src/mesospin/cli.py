@@ -45,7 +45,6 @@ from .ensemble import (
     ensemble_evolve,
     pulse_steps,
 )
-from .fitting import fit_decay
 from .measurement import (
     DimensionError,
     magnetization,
@@ -487,15 +486,12 @@ def cmd_tomo(cfg, dataset_path=None):
     for t in times_c:
         records5.append(["transverse_spin", float(t),
                          float(j * coherence_decay(1, cfg.noise, t))])
-    model = "gaussian" if cfg.noise.kind == "static-gaussian" else "exponential"
-    decay_k = fit_decay(times_k, [r[2] for r in records5[:41]], model=model)
-    decay_c = fit_decay(times_c, [r[2] for r in records5[41:]], model=model)
     dephased = kitten_dephase(rho, cfg.noise, 70e-6)
     w70 = wigner(dephased, thetas, phis)
     summary5 = {
-        "tau_extremal_s": decay_k.tau,
-        "tau_transverse_s": decay_c.tau,
-        "enhancement_ratio": decay_c.tau / decay_k.tau,
+        "tau_extremal_s": tau_k,
+        "tau_transverse_s": tau0,
+        "enhancement_ratio": tau0 / tau_k,
         "wigner_min_initial": float(np.min(w)),
         "wigner_min_dephased_70us": float(np.min(w70)),
     }

@@ -9,23 +9,32 @@ scatters a photon.  Averaging pure-state evolutions over these
 imperfections yields the mixed state actually probed, and each effect
 can be toggled individually to budget its impact.
 
+The light shift and the photon scattering are one coupling: the drive
+near the J -> J+1 line, polarized (x + i eps y)/sqrt(1 + eps^2), has the
+real absorption operator (X - eps Y)/sqrt(1 + eps^2), and each sample's
+light shift (up to a global phase), its decay and its jump channels all
+come from that operator at the sample's own intensity and ellipticity
+(Deutsch & Jessen, Opt. Commun. 283, 681 (2010)).  A sample's jumps
+therefore follow its local polarization.
+
 Photon scattering uses the Monte Carlo wavefunction (MCWF) method:
 between jumps the state evolves under H - (i/2) sum L_q^dag L_q, and it
-jumps through one of the Rayleigh/Raman channels of the J -> J+1
-transition once its squared norm falls below a uniform threshold, one
-draw per jump (Dum, Zoller & Ritsch, PRA 45, 4879 (1992)).  One stepped
-engine, `_run_steps`, serves every stepped evolution: the ensemble
-average with a finite rise time or scattering, in which the main and
-leak starters step in one batch, and the calibration of the jump rate
-on the nominal atom.  Each step lasts at most PULSE_STEP_S and takes
-the exact means of the rise envelope and of its square over the step:
-each sample's light, quartic and decay terms commute with themselves at
-every envelope value, so only the Strang splitting against the static
-field is left to converge.  These step errors hold between jumps; a
-jump's time is resolved to one step.  The jump rate is calibrated once
-per ensemble call, on the nominal atom alone, so it depends on the
-physics (initial state, coupling, field axis, rise time, scattering
-probability and pulse time) and never on the samples or the seed.
+jumps through one of the Rayleigh/Raman channels L_q once its squared
+norm falls below a uniform threshold, one draw per jump (Dum, Zoller &
+Ritsch, PRA 45, 4879 (1992)).  One stepped engine, `_run_steps`, serves
+every stepped evolution: the ensemble average with a finite rise time
+or scattering, in which the main and leak starters step in one batch,
+and the calibration of the jump rate on the nominal atom.  Each step
+lasts at most PULSE_STEP_S and takes the exact means of the rise
+envelope and of its square over the step: each sample's light, decay
+and quartic terms commute with themselves at every envelope value, and
+the light and decay terms share one eigenbasis, so only the Strang
+splitting against the static field is left to converge.  These step
+errors hold between jumps; a jump's time is resolved to one step.  The
+jump rate is calibrated once per ensemble call, on the nominal atom
+alone, so it depends on the physics (initial state, coupling, field
+axis, rise time, scattering probability and pulse time) and never on
+the samples or the seed.
 """
 
 from __future__ import annotations
@@ -148,20 +157,19 @@ def _imperfection_draws(imp, seed):
 def _hamiltonian_parts(cfg, imp, ops, f, eps):
     """Split per-sample Hamiltonians into light, quartic, and field terms.
 
-    The light and quartic parts scale with the local intensity (once
-    and twice respectively) and are returned as per-sample stacks; the
-    static-field term is shared.  All terms are in rad/s.
+    The light term is -(j+1)(2j+1) omega f kmat(eps) per sample, which
+    is omega f [(Jx^2 + eps^2 Jy^2) - (2j+3) eps Jz]/(1 + eps^2) less a
+    global phase.  The light and quartic parts scale with the local
+    intensity (once and twice respectively) and are returned as (scale,
+    operator) pairs; the static-field term is shared.  All terms are in
+    rad/s.
     """
     j = ops.j
-    jx2 = ops.jx @ ops.jx
-    jy2 = ops.jy @ ops.jy
     omega = cfg.omega * f
-    denom = 1.0 + eps**2
-    scale = (omega / denom)[:, None, None]
-    light = scale * (jx2[None] + (eps**2)[:, None, None] * jy2[None])
-    light -= (omega * (2 * j + 3) * eps / denom)[:, None, None] * ops.jz[None]
+    light = (-(j + 1) * (2 * j + 1) * omega, _kmat(int(round(2 * j)), eps))
     quartic = None
     if cfg.include_jx4:
+        jx2 = ops.jx @ ops.jx
         qmat = (2 * j * j + 3 * j + 1) * jx2 + jx2 @ jx2
         quartic = (omega**2 / cfg.detuning, qmat)
     field = None
@@ -208,28 +216,43 @@ def _dipole_blocks(two_j):
     return tuple(blocks)
 
 
-def scattering_channels(j, polarization=(1.0, 0.0, 0.0)):
+@lru_cache(maxsize=None)
+def _light_coupling(two_j):
+    """Fixed real parts X, Y and (A0, A1, A2) of the drive's coupling.
+
+    At ellipticity eps the absorption operator is (X - eps Y)/sqrt(1 +
+    eps^2).  The dipole blocks sum to the identity on the excited level,
+    so kmat = sum_q L_q^dag L_q is (A0 - eps A1 + eps^2 A2)/(1 + eps^2).
+    """
+    minus, _, plus = _dipole_blocks(two_j)
+    x = (minus - plus) / math.sqrt(2.0)
+    y = (minus + plus) / math.sqrt(2.0)
+    xy = x.T @ y
+    parts = (x, y, np.stack([x.T @ x, xy + xy.T, y.T @ y]))
+    for arr in parts:
+        arr.setflags(write=False)
+    return parts
+
+
+def _kmat(two_j, eps):
+    """kmat = sum_q L_q^dag L_q at each ellipticity in eps, stacked."""
+    e = np.asarray(eps, dtype=float)
+    weights = np.stack([np.ones_like(e), -e, e * e], axis=1) / (1.0 + e * e)[:, None]
+    return np.einsum("np,pij->nij", weights, _light_coupling(two_j)[2])
+
+
+def scattering_channels(j, eps=0.0):
     """Jump operators for photon scattering on the J -> J+1 line.
 
-    Returns (channels, kmat): three ground-state operators, one per
-    emitted-photon polarization, at unit overall rate, and the total
-    kmat = sum L^dag L, which is proportional to the light-shift
-    operator of the same drive polarization.
+    Returns three real ground-state operators L_q, one per
+    emitted-photon polarization, at unit overall rate, for the drive
+    polarization (x + i eps y)/sqrt(1 + eps^2).  Their sum kmat =
+    sum L_q^dag L_q is proportional to the light shift of that drive.
     """
     two_j = int(round(2 * j))
-    blocks = _dipole_blocks(two_j)
-    u = np.asarray(polarization, dtype=complex)
-    u = u / math.sqrt(float(np.real(np.vdot(u, u))))
-    # spherical components of the drive polarization
-    comps = (
-        (u[0] + 1j * u[1]) / math.sqrt(2.0),      # q = -1
-        u[2],                                     # q =  0
-        -(u[0] - 1j * u[1]) / math.sqrt(2.0),     # q = +1
-    )
-    absorb = sum(c * b for c, b in zip(comps, blocks))
-    channels = [b.conj().T @ absorb for b in blocks]
-    kmat = sum(ch.conj().T @ ch for ch in channels)
-    return channels, kmat
+    x, y, _ = _light_coupling(two_j)
+    absorb = (x - eps * y) / math.sqrt(1.0 + eps * eps)
+    return [b.T @ absorb for b in _dipole_blocks(two_j)]
 
 
 def _apply_jump(psi, channels, rng_value):
@@ -239,16 +262,6 @@ def _apply_jump(psi, channels, rng_value):
     pick = int(np.searchsorted(edges, rng_value))
     out = channels[min(pick, len(channels) - 1)] @ psi
     return out / math.sqrt(float(np.real(np.vdot(out, out))))
-
-
-@lru_cache(maxsize=None)
-def _jump_basis(two_j):
-    """Scattering channels and their sum kmat, with kmat's eigenbasis."""
-    channels, kmat = scattering_channels(two_j / 2.0)
-    kw, kv = np.linalg.eigh(kmat)
-    for arr in (*channels, kmat, kw, kv):
-        arr.setflags(write=False)
-    return tuple(channels), kmat, kw, kv
 
 
 # Longest step of the stepped engine.  The error is second order in the
@@ -270,7 +283,8 @@ class _Pulse(NamedTuple):
     env: np.ndarray          # mean intensity envelope over each step
     env2: np.ndarray         # mean squared envelope over each step
     ds: float                # step length
-    light: tuple             # per-sample eigh (w, v) of the unit-envelope light term
+    light: tuple             # (per-sample scale, eigh (kw, kv) of each sample's kmat)
+    eps: np.ndarray          # per-sample ellipticity, which sets its jump channels
     quartic: tuple | None    # (per-sample scale, qw, qv) of the quartic term
     field_half: np.ndarray | None  # static-field propagator over ds / 2
 
@@ -309,7 +323,7 @@ def _envelope_means(n_steps, ds, rise):
 
 def _stepped_pulse(cfg, imp, ops, f, eps, t):
     """Pulse of area time t for the samples with intensities f, ellipticities eps."""
-    light, quartic, field = _hamiltonian_parts(cfg, imp, ops, f, eps)
+    (light_scale, kmat), quartic, field = _hamiltonian_parts(cfg, imp, ops, f, eps)
     duration = _pulse_duration(t, imp.pulse_rise_time)
     n_steps = _step_count(duration)
     ds = duration / n_steps
@@ -319,7 +333,10 @@ def _stepped_pulse(cfg, imp, ops, f, eps, t):
         scale, qmat = quartic
         quartic_eig = (scale, *np.linalg.eigh(qmat))
     field_half = None if field is None else expi_hermitian(field, ds / 2.0)
-    return _Pulse(env, env2, ds, np.linalg.eigh(light), quartic_eig, field_half)
+    kw, kv = np.linalg.eigh(kmat)
+    # complex once, so that no step casts the real eigenvectors again
+    return _Pulse(env, env2, ds, (light_scale, kw, kv.astype(complex)), eps,
+                  quartic_eig, field_half)
 
 
 def _run_steps(psi, pulse, decay=None, seed=None):
@@ -331,59 +348,55 @@ def _run_steps(psi, pulse, decay=None, seed=None):
     psi has shape (blocks, samples, dim); per-sample terms broadcast
     over blocks, so several initial states step in one batch.  Matrix
     products stay per block, because BLAS rounds a single row unlike a
-    stack of rows.  Each step applies half the static field, the light,
-    quartic and decay terms in their eigenbases at the step's mean
-    envelope (its mean squared envelope for the quartic term), then the
-    other half of the field.  decay = (rates, basis) holds each
-    sample's jump rate and its _jump_basis; states are never
-    renormalised, so their norms decay, which is all the rate
+    stack of rows.  Each step applies half the static field, the light
+    and decay terms in the eigenbasis of the sample's kmat at the step's
+    mean envelope, the quartic term in its eigenbasis at the step's mean
+    squared envelope, then the other half of the field.  decay = (rates,
+    two_j) holds each sample's jump rate and the spin's 2j; states are
+    never renormalised, so their norms decay, which is all the rate
     calibration (seed None) needs.  With a seed, state (b, i) jumps at
     the end of the first step that takes its squared norm below a
-    uniform threshold from substream(seed, 1, i, 0); its k-th jump
-    draws the channel pick and the next threshold from
-    substream(seed, 1, i, k), shared by every block.  The PULSE_STEP_S
-    errors hold between jumps; a jump's time is resolved to one step.
+    uniform threshold from substream(seed, 1, i, 0), through the
+    channels of its own ellipticity; its k-th jump draws the channel
+    pick and the next threshold from substream(seed, 1, i, k), shared
+    by every block.  The PULSE_STEP_S errors hold between jumps; a
+    jump's time is resolved to one step.
     """
-    wa, va = pulse.light
-    va_h, va_t = va.conj(), va.transpose(0, 2, 1)
-    light_phase = -1j * wa
+    light_scale, kw, kv = pulse.light
+    kv_t = kv.transpose(0, 2, 1)  # kv is real, so kv^dag = kv^T
+    rates = 0.0 if decay is None else decay[0]
+    exponent = (-1j * light_scale - 0.5 * rates)[:, None] * kw
     ds = pulse.ds
     field_t = None if pulse.field_half is None else pulse.field_half.T
     if pulse.quartic is not None:
         scale, qw, qv = pulse.quartic
         quartic_phase = -1j * scale[:, None] * qw[None, :]
         qv_c, qv_t = qv.conj(), qv.T
-    if decay is not None:
-        rates, (channels, _, kw, kv) = decay
-        decay_exponent = -0.5 * rates[:, None] * kw[None, :]
-        kv_c, kv_t = kv.conj(), kv.T
-        if seed is not None:
-            first = [substream(seed, 1, i, 0).random() for i in range(psi.shape[1])]
-            threshold = np.tile(first, (psi.shape[0], 1))
-            jumps = np.zeros(psi.shape[:2], dtype=int)
+    jumping = decay is not None and seed is not None
+    if jumping:
+        first = [substream(seed, 1, i, 0).random() for i in range(psi.shape[1])]
+        threshold = np.tile(first, (psi.shape[0], 1))
+        jumps = np.zeros(psi.shape[:2], dtype=int)
     for e_k, e2_k in zip(pulse.env, pulse.env2):
         if field_t is not None:
             psi = psi @ field_t
         # one row per (block, sample) against its sample's basis, so a
         # row rounds alike in any batch
-        amp = psi[:, :, None, :] @ va_h
-        amp *= np.exp(light_phase * (e_k * ds))[:, None, :]
-        psi = (amp @ va_t)[:, :, 0, :]
+        amp = psi[:, :, None, :] @ kv
+        amp *= np.exp(exponent * (e_k * ds))[:, None, :]
+        psi = (amp @ kv_t)[:, :, 0, :]
         if pulse.quartic is not None:
             amp = psi @ qv_c
             amp *= np.exp(quartic_phase * (e2_k * ds))
             psi = amp @ qv_t
-        if decay is not None:
-            amp = psi @ kv_c
-            amp *= np.exp(decay_exponent * (e_k * ds))
-            psi = amp @ kv_t
-            if seed is not None:
-                norms = np.real(np.einsum("bni,bni->bn", psi, psi.conj()))
-                for b, i in zip(*np.nonzero(norms < threshold)):
-                    jumps[b, i] += 1
-                    pick, threshold[b, i] = substream(
-                        seed, 1, i, int(jumps[b, i])).random(2)
-                    psi[b, i] = _apply_jump(psi[b, i], channels, pick)
+        if jumping:
+            norms = np.real(np.einsum("bni,bni->bn", psi, psi.conj()))
+            for b, i in zip(*np.nonzero(norms < threshold)):
+                jumps[b, i] += 1
+                pick, threshold[b, i] = substream(
+                    seed, 1, i, int(jumps[b, i])).random(2)
+                channels = scattering_channels(decay[1] / 2.0, pulse.eps[i])
+                psi[b, i] = _apply_jump(psi[b, i], channels, pick)
         if field_t is not None:
             psi = psi @ field_t
     return psi
@@ -399,8 +412,11 @@ def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
 
     rho = np.zeros((dim, dim), dtype=complex)
     if pulse_steps(imp, t) == 0:
-        light, quartic, field = _hamiltonian_parts(cfg, imp, ops, f, eps)
-        h = light if field is None else light + field[None]
+        (light_scale, kmat), quartic, field = _hamiltonian_parts(
+            cfg, imp, ops, f, eps)
+        h = light_scale[:, None, None] * kmat
+        if field is not None:
+            h = h + field[None]
         if quartic is not None:
             scale, qmat = quartic
             h = h + scale[:, None, None] * qmat[None]
@@ -416,7 +432,7 @@ def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
     decay = None
     if imp.scattering_probability > 0 and t > 0:
         gamma = _calibrate_ensemble_rate(initial, cfg, imp, t, ops)
-        decay = (gamma * f, _jump_basis(int(round(2 * ops.j))))
+        decay = (gamma * f, int(round(2 * ops.j)))
     # one block per starter, stepped in one batch
     psi = np.stack([np.repeat(psi0[None, :], n, axis=0)
                     for _, psi0 in starters]).astype(complex)
@@ -443,14 +459,14 @@ def _calibrate_ensemble_rate(initial, cfg, imp, t, ops):
         raise ValueError("scattering probability must lie in [0, 1)")
     initial = np.asarray(initial, dtype=complex)
     pulse = _stepped_pulse(cfg, imp, ops, np.ones(1), np.zeros(1), t)
-    basis = _jump_basis(int(round(2 * ops.j)))
+    two_j = int(round(2 * ops.j))
 
     def survival(gamma):
         psi = initial[None, None, :].astype(complex)
-        psi = _run_steps(psi, pulse, (np.array([gamma]), basis))
+        psi = _run_steps(psi, pulse, (np.array([gamma]), two_j))
         return float(np.real(np.vdot(psi[0, 0], psi[0, 0])))
 
-    expect = float(np.real(np.vdot(initial, basis[1] @ initial)))
+    expect = float(np.real(np.vdot(initial, _kmat(two_j, [0.0])[0] @ initial)))
     gamma = target / max(expect * t, 1e-300)
     # survival is nearly exponential in the rate, so three updates suffice
     for _ in range(3):

@@ -152,9 +152,13 @@ def dataset_from_json(doc):
     def dist(axis, rec, key_counts, key_probs):
         if key_counts in rec:
             counts = np.asarray(rec[key_counts], dtype=int)
+            total = int(counts.sum())
+            if total == 0:  # probabilities 0/0
+                raise ValueError(
+                    "non-finite projection probability: all counts are zero")
             return ProjectionDistribution(
-                j=j, axis=axis, probabilities=counts / counts.sum(),
-                counts=counts, atom_total=int(counts.sum()),
+                j=j, axis=axis, probabilities=counts / total,
+                counts=counts, atom_total=total,
             )
         return ProjectionDistribution(
             j=j, axis=axis, probabilities=np.asarray(rec[key_probs], dtype=float)

@@ -9,28 +9,30 @@ from hypothesis import given, settings, strategies as st
 
 from mesospin import (
     CouplingConfig,
-    LightShiftParams,
     X_AXIS,
     analytic_mz,
     analytic_varz,
     basis_state,
     collapse_time,
-    coupling_rate,
-    elliptical_polarization,
     evolve,
     expectation,
     fidelity,
     gaussian_mz,
     gaussian_varz,
     hamiltonian,
-    intensity_for_coupling,
     kitten_state,
-    light_shift_operator,
     make_operators,
     oat_closed_form,
     projection_probs,
     revival_state,
     spin_variance,
+)
+from light_shift import (
+    LightShiftParams,
+    coupling_rate,
+    elliptical_polarization,
+    intensity_for_coupling,
+    light_shift_operator,
 )
 
 OMEGA = 2 * math.pi * 1.98e6

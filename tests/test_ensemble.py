@@ -9,14 +9,11 @@ import pytest
 from mesospin import (
     CouplingConfig,
     ImperfectionConfig,
-    LightShiftParams,
     basis_state,
     coherence_ratio,
     ensemble_evolve,
     fidelity,
-    intensity_for_coupling,
     kitten_state,
-    light_shift_operator,
     magnetization,
     make_operators,
     projection_probs,
@@ -26,6 +23,13 @@ from mesospin import (
 from mesospin import ensemble
 from mesospin.config import default_config
 from mesospin.ensemble import _calibrate_ensemble_rate, _pulse_duration
+from light_shift import (
+    LightShiftParams,
+    coupling_rate,
+    elliptical_polarization,
+    intensity_for_coupling,
+    light_shift_operator,
+)
 
 OMEGA = 2 * math.pi * 1.98e6
 DETUNING = -2 * math.pi * 1.5e9
@@ -37,57 +41,62 @@ KITTEN = kitten_state(8)
 # rho of ensemble_evolve(basis_state(4, -4)) at the default coupling and
 # imperfections (leak, rise time and scattering on), 10 samples, seed 3,
 # with the pulse duration solved to rounding, on steps of PULSE_STEP_S
-# that take the exact envelope means
+# that take the exact envelope means, each sample's light, decay and
+# jump channels taken from its own coupling operator
 _PIN_DIAGONAL = [
-    0.47274244880474187, 0.014055951730828934, 0.011209280539731708,
-    0.00047538599870190475, 0.0031116721221637637, 0.0018630245466109464,
-    0.015288713536671494, 0.013635340959485362, 0.46761818176106423,
+    0.4727420143793073, 0.014055954096604074, 0.011209270668401976,
+    0.0004753862199677093, 0.0031116794102057374, 0.0018630233242264928,
+    0.015288676847603669, 0.013635339586596474, 0.46761865546708653,
 ]
 _PIN_UPPER = [  # row-major, above the diagonal
-    (0.0018211655782435108, 0.0016986441956313753),
-    (-0.014816986806771106, -0.034646122857465884),
-    (-0.001584729882798102, -0.0002562278125669978),
-    (-0.00040789185208521767, -7.694334390591043e-05),
-    (0.0019404644200102254, 4.675332887985818e-05),
-    (-0.054299606439837125, 0.03093592258906307),
-    (-0.0010591143214720156, -0.0007237727197868808),
-    (0.03422877746617122, -0.4688874400179316),
-    (-0.0001376055827747339, -3.970540717006764e-05),
-    (-0.0002904881851712251, -0.0020912751666835134),
-    (-2.5358411907881935e-05, -1.3247205097324355e-06),
-    (-0.003056334621762675, 0.0010728089422778057),
-    (-4.2782660761143925e-05, 0.00030699521683816175),
-    (-0.00010909104710132953, -0.013817224192240754),
-    (-0.001621814679009668, -0.0019833605032163987),
-    (9.038537601866744e-05, -9.596344067859441e-05),
-    (-0.004446713830621994, -0.0017695600611993144),
-    (-5.005466249203486e-05, 0.00012717113679973778),
-    (-0.002319625529042558, -0.012217994204781585),
-    (5.7183527458011985e-05, -0.00012898988931941475),
-    (0.033101473855623384, 0.017271772222281608),
-    (-1.4073467474761428e-05, -1.0320638378570091e-06),
-    (-0.00017385590752834847, -0.0008426467886695984),
-    (0.00014252693978759556, -0.00014905512654561724),
-    (0.002022643408119131, 0.00027040171173156727),
-    (0.0001497982405495868, 0.001583512460050866),
-    (-3.842112262165555e-06, 1.096840963622519e-05),
-    (0.0026516642123124374, 0.003325702725408838),
-    (3.601492053139136e-06, 4.362593884185129e-05),
-    (6.599301401329834e-05, 0.00044141533337440644),
-    (-0.00021059893879314058, 0.00010713805905150197),
-    (-0.0010282024941606599, 0.0028462365910144104),
-    (0.0001012212394567034, -0.0019087479544372234),
-    (0.0001055194536528701, 0.00011445525302710869),
-    (-0.034746026509063714, 0.051411776596972825),
-    (0.0006941332007122485, 0.001034729305548382),
+    (0.0018211643891098252, 0.0016986432130839954),
+    (-0.014816696822610935, -0.03464610562135152),
+    (-0.0015847287268666022, -0.0002562270683530828),
+    (-0.0004081102875745273, -7.696573602286578e-05),
+    (0.0019404634431243227, 4.675313180070193e-05),
+    (-0.054299443043831754, 0.030935927100453203),
+    (-0.0010591133731590507, -0.0007237727867686903),
+    (0.03422881478835089, -0.46888746069977216),
+    (-0.00013760444888455148, -3.9706476549611413e-05),
+    (-0.0002904903545461931, -0.0020912756757576947),
+    (-2.5359380183762424e-05, -1.3239811465439535e-06),
+    (-0.0030563323459230993, 0.0010728087617387567),
+    (-4.2782024354961026e-05, 0.00030699474224812884),
+    (-0.00010909103660548065, -0.013817224705554187),
+    (-0.0016218152997997497, -0.0019833612851500337),
+    (9.038442018884016e-05, -9.596357525278208e-05),
+    (-0.0044467113114746515, -0.0017695846112321025),
+    (-5.005340296940057e-05, 0.00012717108919976176),
+    (-0.002319668766144362, -0.012217971427340064),
+    (5.7182994789872983e-05, -0.00012899031655378503),
+    (0.03310151469737593, 0.017271496173843756),
+    (-1.4072778571163183e-05, -1.032110406116663e-06),
+    (-0.0001738554312044875, -0.000842646305796072),
+    (0.00014252646792292957, -0.00014905496976493657),
+    (0.002022643602854266, 0.0002704038508616946),
+    (0.00014979766946626394, 0.0015835126852508513),
+    (-3.843060275377925e-06, 1.0968563225734473e-05),
+    (0.002651690774180785, 0.003325692324407308),
+    (3.601984081784231e-06, 4.362627545087953e-05),
+    (6.60096193907969e-05, 0.0004416435802174091),
+    (-0.00021059838034832919, 0.00010713810398121616),
+    (-0.0010282023927895817, 0.0028462338032828488),
+    (0.00010122174938449723, -0.0019087488868200963),
+    (0.00010551906406308183, 0.00011445507549791477),
+    (-0.03474604830885245, 0.05141167744488983),
+    (0.0006941339723571785, 0.0010347293337004235),
 ]
 
 
-def _light_params():
+# ellipticities at which the coupling operator is held to the light shift
+ELLIPTICITIES = (0.0, 5e-4, 0.01, 0.2)
+
+
+def _light_params(eps=0.0):
     intensity = intensity_for_coupling(OMEGA, 0.85e6, 626e-9, DETUNING, 8.0)
     return LightShiftParams(
         linewidth=0.85e6, resonance_wavelength=626e-9, detuning=DETUNING,
-        intensity=intensity, polarization=(1.0, 0.0, 0.0),
+        intensity=intensity, polarization=elliptical_polarization(eps),
     )
 
 
@@ -186,14 +195,45 @@ def test_full_imperfection_set_revival_window():
 
 
 def test_scattering_channel_sum_matches_light_shift():
-    p = _light_params()
-    channels, kmat = scattering_channels(8.0, p.polarization)
-    h = light_shift_operator(p, make_operators(8.0))
-    scale = h[0, 0].real / kmat[0, 0].real
-    assert np.max(np.abs(h - scale * kmat)) < 1e-12 * np.max(np.abs(h))
-    assert np.allclose(kmat, kmat.conj().T, atol=1e-14)
-    assert np.linalg.eigvalsh(kmat).min() > -1e-12
-    assert len(channels) == 3
+    # kmat(eps) is sum_q L_q^dag L_q of the channels at eps, and the
+    # light-shift operator of that drive is V0 kmat(eps), V0 = -(j+1)(2j+1) omega
+    ops = make_operators(8.0)
+    for eps in ELLIPTICITIES:
+        p = _light_params(eps)
+        channels = scattering_channels(8.0, eps)
+        kmat = ensemble._kmat(16, [eps])[0]
+        h = light_shift_operator(p, ops)
+        v0 = -9 * 17 * coupling_rate(p, 8.0)
+        assert np.max(np.abs(h - v0 * kmat)) < 1e-12 * np.max(np.abs(h)), eps
+        total = sum(ch.conj().T @ ch for ch in channels)
+        assert np.max(np.abs(total - kmat)) < 1e-14, eps
+        assert np.allclose(kmat, kmat.conj().T, atol=1e-14)
+        assert np.linalg.eigvalsh(kmat).min() > -1e-12
+        assert len(channels) == 3
+
+
+@pytest.mark.parametrize("j", [4.0, 8.0])
+def test_light_term_is_the_coupling_operator(j):
+    # each sample's light term is -(j+1)(2j+1) omega f kmat(eps), the
+    # closed form of the light shift less its global phase (j+1)^2 omega
+    # f, and it commutes with the decay sum_q L_q^dag L_q of that
+    # sample's own jump channels
+    ops = make_operators(j)
+    eps = np.array(ELLIPTICITIES)
+    f = np.linspace(0.8, 1.1, eps.size)
+    (scale, kmat), _, _ = ensemble._hamiltonian_parts(
+        CFG, ImperfectionConfig(), ops, f, eps)
+    jx2, jy2 = ops.jx @ ops.jx, ops.jy @ ops.jy
+    for f_i, e, s, k in zip(f, eps, scale, kmat):
+        omega = OMEGA * f_i
+        closed = (omega / (1 + e * e) * (jx2 + e * e * jy2)
+                  - omega * (2 * j + 3) * e / (1 + e * e) * ops.jz)
+        light = s * k + (j + 1) ** 2 * omega * np.eye(k.shape[0])
+        assert np.max(np.abs(light - closed)) <= 1e-14 * np.max(np.abs(closed)), e
+        decay = sum(ch.T @ ch for ch in scattering_channels(j, e))
+        commutator = closed @ decay - decay @ closed
+        size = np.linalg.norm(closed) * np.linalg.norm(decay)
+        assert np.linalg.norm(commutator) <= 1e-14 * size, e
 
 
 def _default_physics(samples=10):
@@ -325,7 +365,7 @@ def test_batched_starters_match_starters_stepped_alone(samples, probability):
     f, eps = ensemble._imperfection_draws(imp, 2)
     pulse = ensemble._stepped_pulse(coupling, imp, ops, f, eps, T_KITTEN)
     rate = _calibrate_ensemble_rate(DOWN, coupling, imp, T_KITTEN, ops)
-    decay = (rate * f, ensemble._jump_basis(16))
+    decay = (rate * f, 16)
     expect = np.zeros((17, 17), dtype=complex)
     for weight, start in ((1.0 - imp.initial_leak_fraction, DOWN),
                           (imp.initial_leak_fraction, basis_state(8, -7))):
