@@ -15,7 +15,6 @@ from .angular import (
     clenshaw_curtis_weights,
     sphere_integral,
     sphere_quadrature,
-    spherical_harmonic,
     tensor_operator,
 )
 from .budget import (
@@ -123,7 +122,7 @@ from .metrology import (
 )
 from .rng import RNG_ALGORITHM, substream
 from .tomography import (
-    MultipoleDecomposition,
+    DatasetError,
     TomographyDataset,
     TomographyFit,
     bootstrap_errors,
@@ -133,8 +132,6 @@ from .tomography import (
     default_equatorial_angles,
     fit_density_matrix,
     forward_model,
-    multipole_decompose,
-    reconstruct_density,
     synthesize_dataset,
     wigner,
 )

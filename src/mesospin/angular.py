@@ -3,10 +3,9 @@
 Clebsch-Gordan coefficients are evaluated by the Racah closed-form sum
 with exact integer arithmetic (factorials up to the full argument range)
 and converted to floating point only at the end, which stays accurate at
-the large ranks (ell up to 2J = 16) needed for the multipole expansion.
-Spherical harmonics use Y_ell^q(theta, phi) = sqrt((2 ell + 1)/(4 pi))
-e^{i q phi} d^ell_{q0}(theta) with d^ell(theta) = exp(-i theta Jy) (Varshalovich,
-Moskalev & Khersonskii, Quantum Theory of Angular Momentum, 1988).
+the large ranks (ell up to 2J = 16) of the tensor operators T_ell^q.
+Their q = 0 diagonals make up the Wigner kernel of `tomography.wigner`;
+the sphere quadrature integrates the resulting maps.
 """
 
 from __future__ import annotations
@@ -17,12 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import make_operators
-
 __all__ = [
     "clebsch_gordan",
     "tensor_operator",
-    "spherical_harmonic",
     "clenshaw_curtis_weights",
     "sphere_quadrature",
     "sphere_integral",
@@ -136,33 +132,6 @@ def tensor_operator(j, ell, q):
     if abs(q) > ell:
         raise ValueError(f"component |q| must not exceed ell, got {q}")
     return _tensor_operator(two_j, int(ell), int(q))
-
-
-@lru_cache(maxsize=None)
-def _polar_coefficients(ell):
-    # d^ell_{q0}(theta) = sum_m v[q+ell, m+ell] conj(v[ell, m+ell]) e^{-i m theta} over the
-    # eigenvalues m = -ell..ell of Jy; d is real, so Re sum_{m>=0} c[q+ell, m] e^{-i m theta}
-    _, v = np.linalg.eigh(make_operators(ell).jy)
-    p = v * v[ell].conj()
-    c = p[:, ell:].copy()
-    c[:, 1:] += p[:, :ell][:, ::-1].conj()
-    c.setflags(write=False)
-    return c
-
-
-def spherical_harmonic(ell, q, theta, phi):
-    """Y_ell^q(theta, phi) with the Y_0^0 = 1/sqrt(4 pi) normalization.
-
-    Condon-Shortley phases; theta and phi broadcast against each other.
-    Negative q use d^ell_{-q,0} = (-1)^q d^ell_{q0}, so that
-    Y_ell^{-q} = (-1)^q conj(Y_ell^q) holds exactly.
-    """
-    c = _polar_coefficients(ell)[abs(q) + ell]
-    theta = np.asarray(theta, dtype=float)
-    powers = np.ones(theta.shape + (ell + 1,), dtype=complex)
-    powers[..., 1:] = np.exp(-1j * theta)[..., None]
-    d = (np.cumprod(powers, axis=-1) @ c).real * (-1.0 if q < 0 and q % 2 else 1.0)
-    return math.sqrt((2 * ell + 1) / (4 * math.pi)) * d * np.exp(1j * q * np.asarray(phi))
 
 
 def clenshaw_curtis_weights(n):

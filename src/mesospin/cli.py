@@ -65,6 +65,7 @@ from .metrology import (
 )
 from .rng import RNG_ALGORITHM
 from .tomography import (
+    DatasetError,
     bootstrap_errors,
     coherence_ratio,
     dataset_from_json,
@@ -410,7 +411,9 @@ def _read_dataset(path):
         doc = json.load(handle)
     try:
         return dataset_from_json(doc)
-    except (KeyError, TypeError, DimensionError) as exc:
+    except (KeyError, TypeError, OverflowError, DimensionError,
+            DatasetError) as exc:
+        # OverflowError: an integer beyond the float or the 64-bit range
         raise _InputError(f"malformed dataset {path}: {exc!r}") from exc
 
 

@@ -1,4 +1,4 @@
-"""Density-matrix reconstruction, multipole decomposition, Wigner function.
+"""Density-matrix reconstruction and the angular Wigner function.
 
 The reconstruction minimizes the weighted squared difference between
 predicted and observed projection probabilities over the density
@@ -9,17 +9,23 @@ from the linear inversion; the projection moves the eigenvalues of a
 Hermitian matrix onto the probability simplex.  Convergence is
 certified by the duality gap <grad f, rho> - lambda_min(grad f), an
 upper bound on how far the objective lies above its minimum.
+
+The Wigner function is W(u) = Tr(rho Delta(u)) with a kernel Delta(u)
+that is diagonal in the eigenbasis of u.J (Agarwal, PRA 24, 2889
+(1981); Dowling, Agarwal & Schleich, PRA 49, 4101 (1994)).  Its fixed
+diagonal weights the projection distribution along u.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .angular import spherical_harmonic, tensor_operator
-from .core import Z_AXIS, spin_of
+from .angular import tensor_operator
+from .core import Z_AXIS, make_operators, spin_of
 from .measurement import (
     ProjectionDistribution,
     _axis_basis,
@@ -31,17 +37,15 @@ from .metrology import PhaseScan
 from .rng import substream
 
 __all__ = [
+    "DatasetError",
     "TomographyDataset",
     "TomographyFit",
-    "MultipoleDecomposition",
     "synthesize_dataset",
     "dataset_to_json",
     "dataset_from_json",
     "forward_model",
     "fit_density_matrix",
     "bootstrap_errors",
-    "multipole_decompose",
-    "reconstruct_density",
     "wigner",
     "coherence_ratio",
     "default_equatorial_angles",
@@ -144,14 +148,48 @@ def dataset_to_json(data: TomographyDataset):
     return doc
 
 
+class DatasetError(ValueError):
+    """A dataset document whose structure is not that of `dataset_to_json`."""
+
+
+def _json_list(value, key, read):
+    if not isinstance(value, list):
+        raise DatasetError(f"'{key}' must be a list, not {value!r}")
+    return [read(v, key) for v in value]
+
+
+def _json_number(value, key):
+    # float("4") and float(True) parse: a number is a JSON number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DatasetError(f"'{key}' must be a number, not {value!r}")
+    return float(value)
+
+
+def _json_finite(value, key):
+    if not math.isfinite(_json_number(value, key)):
+        raise DatasetError(f"'{key}' must be a finite number, not {value!r}")
+    return float(value)
+
+
+def _json_count(value, key):
+    # int(2.7) is 2 and int(True) is 1: a fractional count must not be truncated
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DatasetError(f"'{key}' must hold integer counts, not {value!r}")
+    return value
+
+
 def dataset_from_json(doc):
-    """Inverse of `dataset_to_json`."""
-    j = float(doc["j"])
+    """Inverse of `dataset_to_json`; raises DatasetError, naming the key,
+    on a document of another structure."""
+    j = _json_finite(doc["j"], "j")
     n_total = doc.get("atom_total")
 
-    def dist(axis, rec, key_counts, key_probs):
+    def dist(axis, rec, key_counts, key_probs, where=""):
         if key_counts in rec:
-            counts = np.asarray(rec[key_counts], dtype=int)
+            counts = np.asarray(_json_list(rec[key_counts], where + key_counts,
+                                           _json_count), dtype=int)
             total = int(counts.sum())
             if total == 0:  # probabilities 0/0
                 raise ValueError(
@@ -160,21 +198,29 @@ def dataset_from_json(doc):
                 j=j, axis=axis, probabilities=counts / total,
                 counts=counts, atom_total=total,
             )
-        return ProjectionDistribution(
-            j=j, axis=axis, probabilities=np.asarray(rec[key_probs], dtype=float)
-        )
+        probs = _json_list(rec[key_probs], where + key_probs, _json_number)
+        return ProjectionDistribution(j=j, axis=axis, probabilities=np.asarray(probs))
 
     zd = dist(Z_AXIS, doc, "z_counts", "z_probs")
+    records = doc["settings"]
+    if not isinstance(records, list) or not records:
+        raise DatasetError(f"'settings' must be a non-empty list, not {records!r}")
     phis, dists = [], []
-    for rec in doc["settings"]:
-        phis.append(rec["phi"])
-        dists.append(dist(equatorial_direction(rec["phi"]), rec, "counts", "probs"))
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise DatasetError(f"'settings[{i}]' must be an object, not {rec!r}")
+        phis.append(_json_finite(rec["phi"], f"settings[{i}].phi"))
+        dists.append(dist(equatorial_direction(phis[-1]), rec, "counts", "probs",
+                          f"settings[{i}]."))
+    corr = doc.get("phase_corrections")
+    if corr is not None:
+        corr = _json_list(corr, "phase_corrections", _json_finite)
+        if len(corr) != len(phis):
+            raise DatasetError(f"'phase_corrections' holds {len(corr)} entries "
+                               f"for {len(phis)} settings")
     provenance = "sampled" if (n_total or zd.counts is not None) else "exact"
     scan = PhaseScan(phis=np.asarray(phis), distributions=dists, provenance=provenance)
-    return TomographyDataset(
-        z_distribution=zd, equatorial=scan,
-        phase_corrections=np.asarray(doc.get("phase_corrections")) if doc.get("phase_corrections") else None,
-    )
+    return TomographyDataset(z_distribution=zd, equatorial=scan, phase_corrections=corr)
 
 
 def _setting_bases(j, settings):
@@ -221,6 +267,15 @@ _GAP_ATOL = 1e-12
 _MAX_ITERATIONS = 20000
 
 
+@lru_cache(maxsize=None)
+def _upper_triangle(d):
+    """Row and column indices of the strict upper triangle of d x d matrices."""
+    rows, cols = np.triu_indices(d, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def _coordinates(h):
     """Real coordinates of Hermitian matrices (last two axes).
 
@@ -228,7 +283,7 @@ def _coordinates(h):
     the upper triangle: an orthonormal basis, so dot products of
     coordinates are Frobenius inner products of the matrices.
     """
-    rows, cols = np.triu_indices(h.shape[-1], 1)
+    rows, cols = _upper_triangle(h.shape[-1])
     upper = math.sqrt(2.0) * h[..., rows, cols]
     return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real,
                            upper.real, upper.imag], axis=-1)
@@ -236,7 +291,7 @@ def _coordinates(h):
 
 def _hermitian(x, d):
     """The d x d Hermitian matrix with coordinates x."""
-    rows, cols = np.triu_indices(d, 1)
+    rows, cols = _upper_triangle(d)
     n = len(rows)
     upper = (x[d:d + n] + 1j * x[d + n:]) / math.sqrt(2.0)
     h = np.diag(x[:d].astype(complex))
@@ -380,77 +435,41 @@ def bootstrap_errors(data, *, n_resamples=100, seed=0):
     return moduli.std(axis=0)
 
 
-@dataclass(frozen=True)
-class MultipoleDecomposition:
-    """Coefficients rho_ell^q = Tr(T_ell^q^dag rho) of a state.
-
-    Stored as a dense array indexed [ell, q + 2j]; entries with
-    |q| > ell are zero.  Reality of the Wigner function corresponds to
-    rho_ell^{-q} = (-1)^q conj(rho_ell^q).
-    """
-
-    j: float
-    coefficients: np.ndarray
-
-    def coefficient(self, ell, q):
-        return self.coefficients[ell, q + self.coefficients.shape[0] - 1]
-
-    def reality_residue(self):
-        lmax = self.coefficients.shape[0] - 1
-        worst = 0.0
-        for ell in range(lmax + 1):
-            for q in range(ell + 1):
-                a = self.coefficient(ell, q)
-                b = self.coefficient(ell, -q)
-                worst = max(worst, abs(b - (-1) ** q * np.conj(a)))
-        return worst
-
-
-def multipole_decompose(rho):
-    """Expand a density matrix on the orthonormal tensor operators."""
-    rho = np.asarray(rho)
-    j = spin_of(rho)
-    lmax = int(round(2 * j))
-    coeffs = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-    for ell in range(lmax + 1):
-        for q in range(-ell, ell + 1):
-            coeffs[ell, q + lmax] = np.vdot(tensor_operator(j, ell, q), rho)
-    return MultipoleDecomposition(j=j, coefficients=coeffs)
-
-
-def reconstruct_density(decomp):
-    """Sum the multipole expansion back into a density matrix."""
-    j = decomp.j
-    lmax = decomp.coefficients.shape[0] - 1
-    d = int(round(2 * j)) + 1
-    rho = np.zeros((d, d), dtype=complex)
-    for ell in range(lmax + 1):
-        for q in range(-ell, ell + 1):
-            rho += decomp.coefficient(ell, q) * tensor_operator(j, ell, q)
-    return rho
+@lru_cache(maxsize=None)
+def _wigner_kernel(two_j):
+    """Diagonal Delta_m = sum_ell Y_ell^0(0) (T_ell^0)_mm of the kernel along +z."""
+    j = two_j / 2.0
+    delta = sum(math.sqrt((2 * ell + 1) / (4 * math.pi))
+                * np.diagonal(tensor_operator(j, ell, 0)).real
+                for ell in range(two_j + 1))
+    delta.setflags(write=False)
+    return delta
 
 
 def wigner(rho, thetas, phis, *, with_residue=False):
-    """Angular Wigner function W(theta, phi) = sum rho_ell^q Y_ell^q.
+    """Angular Wigner function W(theta, phi) = Tr(rho Delta(theta, phi)).
 
-    Returns the real field on the (theta, phi) grid; with_residue=True
-    additionally returns the largest imaginary part discarded.  The
-    integral over the sphere equals sqrt(4 pi / (2j+1)) for any unit
-    trace state.
+    Delta(theta, phi) is the kernel `_wigner_kernel` carried onto the
+    axis (theta, phi), so W = sum_m Delta_m Pi_m(theta, phi) over the
+    projection probabilities Pi_m along that axis.  Returns the real
+    field on the (theta, phi) grid; with_residue=True additionally
+    returns the largest imaginary part discarded.  The integral over
+    the sphere equals sqrt(4 pi / (2j+1)) for any unit trace state.
     """
+    rho = np.asarray(rho)
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    decomp = multipole_decompose(rho)
-    lmax = decomp.coefficients.shape[0] - 1
-    w = np.zeros((len(thetas), len(phis)), dtype=complex)
-    for q in range(-lmax, lmax + 1):
-        profile = np.zeros(len(thetas), dtype=complex)
-        for ell in range(abs(q), lmax + 1):
-            c = decomp.coefficient(ell, q)
-            if c != 0:
-                profile += c * spherical_harmonic(ell, q, thetas, 0.0)
-        if np.any(profile):
-            w += np.outer(profile, np.exp(1j * q * phis))
+    d = rho.shape[0]
+    # exp(-i theta Jy) for every theta from one eigendecomposition of Jy
+    lam, v = np.linalg.eigh(make_operators(spin_of(rho)).jy)
+    ry = (v * np.exp(-1j * np.multiply.outer(thetas, lam))[:, None, :]) @ v.conj().T
+    # Pi_m = sum_ab e^{i (a-b) phi} conj(R_am) rho_ab R_bm, so the map is
+    # sum_ab rho_ab e^{i (a-b) phi} sum_m Delta_m conj(R_am) R_bm
+    weighted = rho * ((ry.conj() * _wigner_kernel(d - 1)) @ ry.transpose(0, 2, 1))
+    offsets = np.arange(1 - d, d)
+    profile = np.stack([np.trace(weighted, offset=k, axis1=1, axis2=2)
+                        for k in offsets], axis=-1)
+    w = profile @ np.exp(-1j * np.multiply.outer(offsets, phis))
     residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
     if with_residue:
         return w.real, residue

@@ -1,4 +1,7 @@
-"""Coupling coefficients, tensor operators, and sphere quadrature."""
+"""Coupling coefficients, tensor operators, and sphere quadrature.
+
+The spherical harmonics checked here are the reference of `tests/multipole.py`.
+"""
 
 import math
 
@@ -14,9 +17,9 @@ from mesospin import (
     make_operators,
     sphere_integral,
     sphere_quadrature,
-    spherical_harmonic,
     tensor_operator,
 )
+from multipole import spherical_harmonic
 
 
 def _sympy_cg(j1, m1, j2, m2, j, m):
@@ -40,7 +43,7 @@ def test_clebsch_gordan_matches_symbolic_reference():
 
 
 def test_clebsch_gordan_high_rank_values():
-    # rank 16 coupling used by the multipole expansion of a spin-8 state
+    # rank 16 coupling of the spin-8 tensor operators
     for q in (0, 3, 16):
         for m in np.arange(-8.0, 8.5):
             if abs(m + q) <= 8:

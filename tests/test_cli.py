@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mesospin
 from mesospin import kitten_state, pulse_steps
@@ -239,6 +240,31 @@ def test_dataset_errors(config_path, tmp_path, capsys):
         assert "9 projection probabilities" in err
         assert f"2j+1 = {outcomes} outcomes" in err
 
+    # structural faults: a j that is no number, counts that are not
+    # integers, no equatorial settings, phase corrections that do not
+    # pair with the settings; each names its key
+    j1 = dataset_to_json(synthesize_dataset(kitten_state(1.0), atom_total=50, seed=2))
+    records = j1["settings"]
+    for fault, key in (
+            ({"j": "four"}, "'j'"),
+            ({"j": True}, "'j'"),
+            ({"z_counts": [2.7, *j1["z_counts"][1:]]}, "'z_counts'"),
+            ({"z_counts": [True, *j1["z_counts"][1:]]}, "'z_counts'"),
+            ({"settings": [{**records[0], "counts": [1, 2.5, 3]}, *records[1:]]},
+             "'settings[0].counts'"),
+            ({"settings": []}, "'settings'"),
+            ({"settings": [5, *records[1:]]}, "'settings[0]'"),
+            ({"settings": [{**records[0], "phi": "0"}, *records[1:]]},
+             "'settings[0].phi'"),
+            ({"phase_corrections": [0.0]}, "'phase_corrections'")):
+        bad = tmp_path / "structure.json"
+        bad.write_text(json.dumps({**j1, **fault}))
+        assert main(["tomo", "--config", config_path, "--out", str(tmp_path),
+                     "--dataset", str(bad)]) == 2, fault
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert key in err, fault
+
     data = synthesize_dataset(kitten_state(8.0),
                               phis=default_equatorial_angles()[::4])
     doc = dataset_to_json(data)
@@ -280,6 +306,35 @@ def test_tomo_dataset_sets_j(config_path, tmp_path):
     summary = json.loads((tmp_path / "fig5.summary.json").read_text())["summary"]
     # static noise: the order-2J coherence decays 2J = 8 times faster
     assert summary["enhancement_ratio"] == pytest.approx(8.0, rel=1e-3)
+
+
+# a small J = 1 dataset and the fields, some nested, that a mutation replaces
+_J1_DATASET = dataset_to_json(synthesize_dataset(
+    kitten_state(1.0), phis=default_equatorial_angles(3), atom_total=40, seed=4))
+_FIELDS = (("j",), ("atom_total",), ("phase_corrections",),
+           ("phase_corrections", 0), ("z_counts",), ("z_counts", 0),
+           ("settings",), ("settings", 1), ("settings", 1, "phi"),
+           ("settings", 1, "counts"), ("settings", 1, "counts", 2))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+def test_mutated_dataset_exits_with_a_code(config_path, tmp_path_factory, field, value):
+    doc = json.loads(json.dumps(_J1_DATASET))
+    parent = doc
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    out = tmp_path_factory.mktemp("mutated")
+    path = out / "dataset.json"
+    path.write_text(json.dumps(doc))
+    assert main(["tomo", "--config", config_path, "--out", str(out),
+                 "--dataset", str(path)]) in (0, 2, 3)
 
 
 def test_verify_reports_ok_missing_and_mismatch(config_path, tmp_path, capsys):
@@ -365,8 +420,6 @@ def test_cli_imports_no_third_party_package_but_numpy():
 REFERENCES = (
     ("tomography.forward_model",
      "objective of test_sampled_fit_is_certified_optimal"),
-    ("tomography.reconstruct_density",
-     "round trip of multipole_decompose, which wigner uses"),
     ("tomography.dataset_to_json", "writes this file's --dataset fixtures"),
     ("core.Y_AXIS", "the y axis that test_core checks beside X_AXIS and Z_AXIS"),
     ("core.dimension", "the 2j+1 that test_core checks operators against"),

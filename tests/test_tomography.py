@@ -1,4 +1,7 @@
-"""Reconstruction, multipole expansion, and the angular Wigner function."""
+"""Reconstruction and the angular Wigner function.
+
+The Wigner map is held to the multipole expansion of `tests/multipole.py`.
+"""
 
 import math
 import os
@@ -10,6 +13,7 @@ import pytest
 
 import mesospin
 from mesospin import (
+    Direction,
     NoiseModel,
     X_AXIS,
     basis_state,
@@ -24,14 +28,14 @@ from mesospin import (
     forward_model,
     kitten_dephase,
     kitten_state,
-    multipole_decompose,
     projection_probs,
-    reconstruct_density,
     sphere_integral,
     substream,
     synthesize_dataset,
     wigner,
 )
+from mesospin.tomography import _wigner_kernel
+from multipole import multipole_decompose, multipole_wigner, reconstruct_density
 
 KITTEN = kitten_state(8)
 RHO_KITTEN = np.outer(KITTEN, KITTEN.conj())
@@ -202,6 +206,36 @@ def test_multipole_round_trip_and_reality():
         assert decomp.coefficient(0, 0) == pytest.approx(1 / math.sqrt(17), abs=1e-12)
         assert decomp.reality_residue() < 1e-12
         assert np.allclose(reconstruct_density(decomp), rho, atol=1e-12)
+
+
+def _random_mixed_state(d, rng):
+    a = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_wigner_matches_multipole_expansion():
+    rng = np.random.default_rng(17)
+    # a non-uniform grid that reaches both poles and azimuths past 2 pi
+    thetas = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, 21)), [math.pi]])
+    phis = rng.uniform(-1.0, 7.0, 29)
+    for two_j in (1, 2, 3, 5, 8, 15, 16):
+        rho = _random_mixed_state(two_j + 1, rng)
+        w, residue = wigner(rho, thetas, phis, with_residue=True)
+        reference = multipole_wigner(rho, thetas, phis)
+        assert np.max(np.abs(w - reference.real)) < 1e-13, two_j
+        assert residue < 1e-13, two_j
+
+
+def test_wigner_is_the_kernel_weighting_projection_probabilities():
+    rng = np.random.default_rng(5)
+    for two_j in (3, 16):
+        rho = _random_mixed_state(two_j + 1, rng)
+        delta = _wigner_kernel(two_j)
+        for theta, phi in ((0.0, 0.0), (0.4, 2.1), (math.pi / 2, 5.9), (math.pi, 1.0)):
+            want = delta @ projection_probs(rho, Direction(theta, phi)).probabilities
+            got = wigner(rho, [theta], [phi])[0, 0]
+            assert got == pytest.approx(want, abs=1e-13), (two_j, theta, phi)
 
 
 def test_wigner_reality_normalization_and_negativity():
