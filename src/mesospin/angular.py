@@ -158,36 +158,28 @@ def clenshaw_curtis_weights(n):
 
 
 def _theta_weights(thetas):
-    thetas = np.asarray(thetas, dtype=float)
     n = len(thetas) - 1
-    uniform = np.allclose(thetas, np.linspace(0.0, math.pi, n + 1), atol=1e-12)
-    if uniform and n >= 2:
-        return clenshaw_curtis_weights(n)
-    # fall back to trapezoid in theta with the sin(theta) area factor
-    w = np.gradient(thetas)
-    w[0] /= 2.0
-    w[-1] /= 2.0
-    return w * np.sin(thetas)
+    if not np.allclose(thetas, np.linspace(0.0, math.pi, n + 1), atol=1e-12):
+        raise ValueError("polar angles must be a uniform grid over [0, pi]")
+    return clenshaw_curtis_weights(n)
 
 
 def _phi_weights(phis):
-    phis = np.asarray(phis, dtype=float)
     n = len(phis)
     step = 2 * math.pi / n
-    if np.allclose(np.diff(phis), step, atol=1e-12):
-        return np.full(n, step)
-    w = np.gradient(phis)
-    w[0] /= 2.0
-    w[-1] /= 2.0
-    return w
+    if not np.allclose(np.diff(phis), step, atol=1e-12):
+        raise ValueError("azimuths must be a uniform grid of step 2 pi / n")
+    return np.full(n, step)
 
 
 def sphere_quadrature(thetas, phis):
     """Outer-product quadrature weights for an integral over the sphere.
 
-    Uniform theta grids spanning [0, pi] use Clenshaw-Curtis weights in
-    cos(theta), which integrate band-limited fields exactly; uniform phi
-    grids without a duplicated endpoint use equal weights 2 pi / n.
+    The polar angles must be a uniform grid spanning [0, pi], weighted by
+    Clenshaw-Curtis weights in cos(theta), which integrate band-limited
+    fields exactly; the azimuths a uniform grid without a duplicated
+    endpoint, weighted equally by 2 pi / n.  Any other grid raises
+    ValueError.
     """
     return np.outer(_theta_weights(thetas), _phi_weights(phis))
 

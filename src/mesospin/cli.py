@@ -572,23 +572,22 @@ def _parser():
         prog="mesospin",
         description="Reproduce collective-spin superposition analyses as data files.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    names = ["evolve", "parity", "ramsey", "hellinger", "tomo", "budget",
-             "verify"]
-    for name in names:
-        p = sub.add_parser(name)
-        p.add_argument("--config", metavar="PATH")
-        p.add_argument("--seed", type=int, metavar="U64")
-        p.add_argument("--out", metavar="DIR")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--samples", type=int, metavar="N")
-        if name == "tomo":
-            p.add_argument("--dataset", metavar="PATH")
+    parser.add_argument("command", choices=["evolve", "parity", "ramsey", "hellinger",
+                                            "tomo", "budget", "verify"])
+    parser.add_argument("--config", metavar="PATH")
+    parser.add_argument("--seed", type=int, metavar="U64")
+    parser.add_argument("--out", metavar="DIR")
+    parser.add_argument("--format", choices=["csv", "json"])
+    parser.add_argument("--samples", type=int, metavar="N")
+    parser.add_argument("--dataset", metavar="PATH", help="tomo only")
     return parser
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.dataset is not None and args.command != "tomo":
+        parser.error("--dataset applies to tomo only")
     try:
         cfg = load_config(args.config) if args.config else default_config()
         cfg = apply_overrides(cfg, seed=args.seed, out_dir=args.out,

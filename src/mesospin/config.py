@@ -30,7 +30,7 @@ __all__ = [
     "apply_overrides",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # One (JSON key, attribute, type) row per setting.  The tables are the
 # only place a key is named: writing, reading and the unknown/missing
@@ -54,7 +54,6 @@ _IMPERFECTION_KEYS = (
     ("pulse_rise_time_s", "pulse_rise_time", float),
     ("scattering_probability", "scattering_probability", float),
     ("ensemble_samples", "ensemble_samples", int),
-    ("sampling", "sampling", str),
     ("cloud_sigma_m", "cloud_sigma", float),
     ("beam_waist_m", "beam_waist", float),
     ("beam_divergence_rad", "beam_divergence", float),
@@ -121,7 +120,6 @@ def default_config():
         pulse_rise_time=50e-9,
         scattering_probability=0.007,
         ensemble_samples=2000,
-        sampling="positional",
         cloud_sigma=7.3e-6,
         beam_waist=50e-6,
         beam_divergence=4e-3,

@@ -81,16 +81,6 @@ class Direction:
         object.__setattr__(self, "theta", float(min(self.theta, math.pi)))
         object.__setattr__(self, "phi", float(self.phi) % _TWO_PI)
 
-    @classmethod
-    def from_vector(cls, v):
-        """Direction of a (not necessarily normalized) 3-vector."""
-        v = np.asarray(v, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("zero vector has no direction")
-        v = v / norm
-        return cls(math.acos(np.clip(v[2], -1.0, 1.0)), math.atan2(v[1], v[0]))
-
     @property
     def vector(self):
         st = math.sin(self.theta)
@@ -104,38 +94,18 @@ Y_AXIS = Direction(math.pi / 2, math.pi / 2)
 Z_AXIS = Direction(0.0, 0.0)
 
 
-def _unit_vector(axis):
-    """Coerce a Direction or length-3 array-like to a unit 3-vector."""
-    if isinstance(axis, Direction):
-        return axis.vector
-    v = np.asarray(axis, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("axis must be a Direction or a length-3 vector")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("zero vector has no direction")
-    return v / norm
-
-
 @dataclass(frozen=True)
 class SpinOperatorSet:
     """Dense matrices of the spin components for a single spin j.
 
-    jz is diagonal with entries -j ... +j; jplus/jminus follow the
-    Condon-Shortley phase convention, and jx, jy derive from them.
+    jz is diagonal with entries -j ... +j; jx and jy derive from the
+    raising operator J+ in the Condon-Shortley phase convention.
     """
 
     j: float
     jx: np.ndarray
     jy: np.ndarray
     jz: np.ndarray
-    jplus: np.ndarray
-    jminus: np.ndarray
-
-    def along(self, axis):
-        """Spin component u . J along a Direction or 3-vector."""
-        u = _unit_vector(axis)
-        return u[0] * self.jx + u[1] * self.jy + u[2] * self.jz
 
 
 @lru_cache(maxsize=None)
@@ -147,12 +117,12 @@ def _operators(two_j):
     jplus = np.zeros((d, d), dtype=complex)
     # <m+1| J+ |m> = sqrt(j(j+1) - m(m+1))
     jplus[np.arange(1, d), np.arange(d - 1)] = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
-    jminus = jplus.conj().T.copy()
+    jminus = jplus.conj().T
     jx = (jplus + jminus) / 2.0
     jy = (jplus - jminus) / 2.0j
-    for a in (jx, jy, jz, jplus, jminus):
+    for a in (jx, jy, jz):
         a.setflags(write=False)
-    return SpinOperatorSet(j=j, jx=jx, jy=jy, jz=jz, jplus=jplus, jminus=jminus)
+    return SpinOperatorSet(j=j, jx=jx, jy=jy, jz=jz)
 
 
 def make_operators(j) -> SpinOperatorSet:
@@ -181,7 +151,7 @@ def basis_state(j, m, axis=Z_AXIS):
     m : number
         Projection quantum number; must differ from j by an integer and
         satisfy |m| <= j.
-    axis : Direction or length-3 array-like, optional
+    axis : Direction, optional
         Quantization axis; defaults to +z.
     """
     two_j = _two_j(j)
@@ -191,8 +161,6 @@ def basis_state(j, m, axis=Z_AXIS):
         raise ValueError(f"m={m} is not a valid projection for j={j}")
     v = np.zeros(two_j + 1, dtype=complex)
     v[idx] = 1.0
-    if not isinstance(axis, Direction):
-        axis = Direction.from_vector(axis)
     if axis.theta == 0.0 and axis.phi == 0.0:
         return v
     ops = make_operators(j)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import spin_of
 from .dynamics import HBAR
 from .fitting import fit_decay
 from .rng import substream
@@ -152,12 +151,6 @@ class DecayCurve:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    def refit(self, model):
-        """Same samples fitted with the other decay model."""
-        fit = fit_decay(self.times, self.values, model=model)
-        return DecayCurve(times=self.times, values=self.values,
-                          tau=fit.tau, model=model, amplitude=fit.amplitude)
-
 
 def _phase_draws(model, times, runs, seed):
     """Random precession-angle offsets, shape (runs, len(times))."""
@@ -196,34 +189,17 @@ def ramsey_simulate(model, times, runs, seed, *, j=8.0, coherence_order=1):
                       model=fit_model, amplitude=fit.amplitude)
 
 
-def kitten_dephase(rho0, model, t, runs=None, seed=None):
+def kitten_dephase(rho0, model, t):
     """Average e^{-i delta_phi Jz} rho e^{+i delta_phi Jz} over noise.
 
-    With runs=None the exact average is applied: each coherence of
-    order n = m - m' is multiplied by coherence_decay(|n|).  With runs
-    set, delta_phi is sampled (runs draws) and the unitary average is
-    taken, which leaves populations exactly invariant in both modes.
+    The average is exact: each coherence of order n = m - m' is
+    multiplied by coherence_decay(|n|), and populations stay invariant.
     """
     rho0 = np.asarray(rho0)
     if rho0.ndim != 2:
         raise ValueError("expected a density matrix")
-    j = spin_of(rho0)
     orders = np.arange(rho0.shape[0])[:, None] - np.arange(rho0.shape[0])[None, :]
-    if runs is None:
-        factor = _decay_factor(orders.astype(float) ** 2, model, t)
-        return rho0 * factor
-    if t < 0:
-        raise ValueError("sampled dephasing needs a non-negative time")
-    if model.kind == "static-gaussian":
-        draws = substream(seed).normal(0.0, model.gamma * model.rms_field * t, runs)
-    else:
-        sigma = model.gamma * math.sqrt(2.0 * model.diffusion * t)
-        draws = substream(seed).normal(0.0, sigma, runs)
-    # <e^{-i delta_phi n}> for every order n at once; n = 0 gives exactly 1
-    unique = np.arange(-int(round(2 * j)), int(round(2 * j)) + 1)
-    means = np.exp(-1j * draws[:, None] * unique[None, :]).mean(axis=0)
-    factor = means[orders + int(round(2 * j))]
-    return rho0 * factor
+    return rho0 * _decay_factor(orders.astype(float) ** 2, model, t)
 
 
 @dataclass(frozen=True)
@@ -231,7 +207,6 @@ class ScalingIdentityReport:
     """Pointwise comparison of <e^{i n delta_phi(t)}> with <e^{i delta_phi(n t)}>."""
 
     times: np.ndarray
-    order: int
     analytic_difference: float
     monte_carlo_z: float
     runs: int
@@ -272,6 +247,6 @@ def scaling_identity_check(model, times, *, order=16, runs=None, seed=None):
         z_worst = float(max(z)) if z else 0.0
     passed = analytic_difference <= 1e-12 and z_worst < 3.0
     return ScalingIdentityReport(
-        times=times, order=order, analytic_difference=analytic_difference,
+        times=times, analytic_difference=analytic_difference,
         monte_carlo_z=z_worst, runs=0 if runs is None else runs, passed=passed,
     )

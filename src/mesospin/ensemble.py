@@ -62,15 +62,13 @@ __all__ = [
 class ImperfectionConfig:
     """Experimental imperfections entering the ensemble average.
 
-    With sampling "positional" each sample draws an atom position in
-    the Gaussian cloud (rms radius `cloud_sigma`); the beam profile
-    (waist `beam_waist`) then fixes its relative intensity and the beam
-    divergence (half-angle `beam_divergence`) its polarization
-    ellipticity.  `intensity_rms_fraction` and `stokes_s3` act as
-    switches for the two positional effects.  With sampling "gaussian"
-    the intensity factor is drawn as N(1, intensity_rms_fraction)
-    truncated at four sigma and the ellipticity as N(0, stokes_s3/2),
-    both independent.
+    Each sample draws an atom position in the Gaussian cloud (rms
+    radius `cloud_sigma`); the beam profile (waist `beam_waist`) then
+    fixes its relative intensity and the beam divergence (half-angle
+    `beam_divergence`) its polarization ellipticity.
+    `intensity_rms_fraction` and `stokes_s3` act only as switches for
+    these two effects: a positive value turns one on, and its size is
+    not read.
     """
 
     intensity_rms_fraction: float = 0.0
@@ -80,7 +78,6 @@ class ImperfectionConfig:
     pulse_rise_time: float = 0.0
     scattering_probability: float = 0.0
     ensemble_samples: int = 2000
-    sampling: str = "positional"
     cloud_sigma: float = 7.3e-6
     beam_waist: float = 50e-6
     beam_divergence: float = 4e-3
@@ -98,8 +95,6 @@ class ImperfectionConfig:
             raise ValueError("pulse rise time must be non-negative")
         if self.ensemble_samples < 1:
             raise ValueError("need at least one ensemble sample")
-        if self.sampling not in ("positional", "gaussian"):
-            raise ValueError("sampling must be 'positional' or 'gaussian'")
         for name in ("cloud_sigma", "beam_waist", "beam_divergence"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -133,24 +128,13 @@ def _imperfection_draws(imp, seed):
     use_eps = imp.stokes_s3 > 0
     if not (use_f or use_eps):
         return f, eps
-    if imp.sampling == "positional":
-        sigma = imp.cloud_sigma / math.sqrt(2.0)
-        for i in range(n):
-            x, z = substream(seed, 0, i).normal(0.0, sigma, 2)
-            if use_f:
-                f[i] = math.exp(-2.0 * (x * x + z * z) / imp.beam_waist**2)
-            if use_eps:
-                eps[i] = imp.beam_divergence * x / imp.beam_waist
-        return f, eps
+    sigma = imp.cloud_sigma / math.sqrt(2.0)
     for i in range(n):
-        rng = substream(seed, 0, i)
+        x, z = substream(seed, 0, i).normal(0.0, sigma, 2)
         if use_f:
-            draw = rng.normal(0.0, 1.0)
-            while abs(draw) > 4.0:
-                draw = rng.normal(0.0, 1.0)
-            f[i] = 1.0 + imp.intensity_rms_fraction * draw
+            f[i] = math.exp(-2.0 * (x * x + z * z) / imp.beam_waist**2)
         if use_eps:
-            eps[i] = rng.normal(0.0, imp.stokes_s3 / 2.0)
+            eps[i] = imp.beam_divergence * x / imp.beam_waist
     return f, eps
 
 
@@ -449,14 +433,12 @@ def _calibrate_ensemble_rate(initial, cfg, imp, t, ops):
 
     The rate belongs to the nominal atom (unit intensity, no
     ellipticity), so it depends on the physics alone and never on the
-    samples, the seed or the sampling.  Its no-jump survival over the
-    pulse is 1 - the scattering probability.
+    samples or the seed.  Its no-jump survival over the pulse is 1 - the
+    scattering probability.
     """
     target = imp.scattering_probability
     if target == 0:
         return 0.0
-    if not 0 < target < 1:
-        raise ValueError("scattering probability must lie in [0, 1)")
     initial = np.asarray(initial, dtype=complex)
     pulse = _stepped_pulse(cfg, imp, ops, np.ones(1), np.zeros(1), t)
     two_j = int(round(2 * ops.j))

@@ -20,6 +20,7 @@ from .core import (
     expi_hermitian,
     m_values,
     make_operators,
+    projector,
     spin_of,
 )
 from .rng import substream
@@ -88,22 +89,20 @@ def _polar_rotation(two_j, theta):
 
 def _axis_basis(j, axis):
     """Matrix whose column m+j is the |m> eigenvector of u.J, in the z basis."""
-    if not isinstance(axis, Direction):
-        axis = Direction.from_vector(axis)
     ry = _polar_rotation(int(round(2 * j)), axis.theta)
     phases = np.exp(-1j * axis.phi * m_values(j))
-    return phases[:, None] * ry, axis
+    return phases[:, None] * ry
 
 
 def projection_probs(state, axis=Direction(0.0, 0.0)):
-    """Projection probabilities of a state along an arbitrary axis.
+    """Projection probabilities of a state along the Direction `axis`.
 
     Works on state vectors and density matrices; the outcome labels are
     the eigenvalues m = -j ... +j of u.J.
     """
     state = np.asarray(state)
     j = spin_of(state)
-    basis, axis = _axis_basis(j, axis)
+    basis = _axis_basis(j, axis)
     if state.ndim == 1:
         probs = np.abs(basis.conj().T @ state) ** 2
     else:
@@ -168,19 +167,17 @@ def ramsey_scan(state, phis, pulse):
 
     For each phase phi the state acquires exp(-i phi Jz), the unitary
     `pulse` is applied, and the z projection distribution is recorded.
-    With a two-component superposition as input and the twisting pulse
-    as `pulse`, the magnetization follows j cos(2j phi).
+    A state vector is taken as its density matrix.  With a two-component
+    superposition as input and the twisting pulse as `pulse`, the
+    magnetization follows j cos(2j phi).
     """
     state = np.asarray(state)
+    if state.ndim == 1:
+        state = projector(state)
     pulse = np.asarray(pulse)
     m = m_values(spin_of(state))
     out = []
     for phi in phis:
-        phases = np.exp(-1j * phi * m)
-        if state.ndim == 1:
-            rotated = pulse @ (phases * state)
-        else:
-            u = pulse * phases[None, :]
-            rotated = u @ state @ u.conj().T
-        out.append(projection_probs(rotated))
+        u = pulse * np.exp(-1j * phi * m)[None, :]
+        out.append(projection_probs(u @ state @ u.conj().T))
     return out

@@ -121,7 +121,6 @@ class GainReport:
     """Metrological gain extracted by one analysis method."""
 
     gain: float
-    method: str
     uncertainty: float
     bound: float = None
     fit: object = None
@@ -151,7 +150,6 @@ def gain_from_parity(scan, *, varz_bound=None):
     gain = 2 * j * contrast**2
     return GainReport(
         gain=gain,
-        method="parity",
         uncertainty=4 * j * contrast * fit.amplitude_error,
         bound=_bound(j, varz_bound),
         fit=fit,
@@ -217,7 +215,6 @@ def gain_from_hellinger(scan, phi0, *, varz_bound=None):
     gain = slope**2 / (j / 4.0)
     return GainReport(
         gain=gain,
-        method="hellinger",
         uncertainty=2 * slope * slope_err / (j / 4.0),
         bound=_bound(j, varz_bound),
         fit=None,
@@ -237,7 +234,7 @@ def gain_from_magnetization(scan, *, varz_bound=None):
     var = variance_curve(scan)
     if fit.amplitude < 1e-9 * j:
         return GainReport(
-            gain=0.0, method="magnetization", uncertainty=0.0,
+            gain=0.0, uncertainty=0.0,
             bound=_bound(j, varz_bound), fit=fit,
         )
     model = fit(scan.phis) - fit.offset
@@ -253,7 +250,6 @@ def gain_from_magnetization(scan, *, varz_bound=None):
     )
     return GainReport(
         gain=gain,
-        method="magnetization",
         uncertainty=gain * rel,
         bound=_bound(j, varz_bound),
         fit=fit,

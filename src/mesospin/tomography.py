@@ -27,6 +27,7 @@ import numpy as np
 from .angular import tensor_operator
 from .core import Z_AXIS, make_operators, spin_of
 from .measurement import (
+    DimensionError,
     ProjectionDistribution,
     _axis_basis,
     equatorial_direction,
@@ -52,6 +53,11 @@ __all__ = [
 ]
 
 
+class DatasetError(ValueError):
+    """A dataset document whose structure is not that of `dataset_to_json`,
+    or whose equatorial angles span more than a half turn."""
+
+
 @dataclass(frozen=True)
 class TomographyDataset:
     """Projection data for one reconstruction.
@@ -68,7 +74,8 @@ class TomographyDataset:
     def __post_init__(self):
         phis = self.equatorial.phis
         if phis[-1] - phis[0] > math.pi + 1e-9:
-            raise ValueError("equatorial angles must stay within a half turn")
+            raise DatasetError("equatorial angles must stay within a half turn, "
+                               f"not span {phis[-1] - phis[0]:g} rad")
         corr = self.phase_corrections
         corr = np.zeros(len(phis)) if corr is None else np.asarray(corr, dtype=float)
         if len(corr) != len(phis):
@@ -101,8 +108,7 @@ def default_equatorial_angles(n=33):
     return np.linspace(0.0, math.pi, n, endpoint=False)
 
 
-def synthesize_dataset(state, phis=None, *, atom_total=None, seed=None,
-                       phase_corrections=None):
+def synthesize_dataset(state, phis=None, *, atom_total=None, seed=None):
     """Dataset generated from a known state, exact or multinomially sampled."""
     if phis is None:
         phis = default_equatorial_angles()
@@ -120,8 +126,7 @@ def synthesize_dataset(state, phis=None, *, atom_total=None, seed=None,
         ]
         provenance = "sampled"
     scan = PhaseScan(phis=phis, distributions=dists, provenance=provenance)
-    return TomographyDataset(z_distribution=zd, equatorial=scan,
-                             phase_corrections=phase_corrections)
+    return TomographyDataset(z_distribution=zd, equatorial=scan)
 
 
 def dataset_to_json(data: TomographyDataset):
@@ -146,10 +151,6 @@ def dataset_to_json(data: TomographyDataset):
         settings.append(rec)
     doc["settings"] = settings
     return doc
-
-
-class DatasetError(ValueError):
-    """A dataset document whose structure is not that of `dataset_to_json`."""
 
 
 def _json_list(value, key, read):
@@ -190,6 +191,10 @@ def dataset_from_json(doc):
         if key_counts in rec:
             counts = np.asarray(_json_list(rec[key_counts], where + key_counts,
                                            _json_count), dtype=int)
+            if len(counts) != 2 * j + 1:
+                raise DimensionError(f"'{where + key_counts}' holds {len(counts)} "
+                                     f"counts for j = {j:g}, which has 2j+1 = "
+                                     f"{2 * j + 1:g} outcomes")
             total = int(counts.sum())
             if total == 0:  # probabilities 0/0
                 raise ValueError(
@@ -224,7 +229,7 @@ def dataset_from_json(doc):
 
 
 def _setting_bases(j, settings):
-    return np.stack([_axis_basis(j, ax)[0].conj().T for ax in settings])
+    return np.stack([_axis_basis(j, ax).conj().T for ax in settings])
 
 
 def forward_model(rho, settings):

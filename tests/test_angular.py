@@ -145,17 +145,17 @@ def test_sphere_integral_exact_for_band_limited_fields():
     assert sphere_integral(np.abs(y) ** 2, thetas, phis) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_sphere_integral_shape_check_and_fallback_weights():
+def test_sphere_integral_rejects_wrong_shapes_and_grids():
     thetas = np.linspace(0.0, math.pi, 181)
     phis = np.arange(360) * 2 * math.pi / 360
     with pytest.raises(ValueError):
         sphere_integral(np.ones((5, 5)), thetas, phis)
-    # non-uniform grids fall back to trapezoid weights
+    # the quadrature holds for uniform grids only
     skew_t = np.sqrt(np.linspace(0.0, 1.0, 401)) * math.pi
     skew_p = np.linspace(0.0, 2 * math.pi, 720)
-    tt = np.broadcast_to(skew_t[:, None], (401, 720))
-    got = sphere_integral(np.ones_like(tt), skew_t, skew_p)
-    assert got == pytest.approx(4 * math.pi, rel=1e-3)
+    for grid_t, grid_p in ((skew_t, phis), (thetas, skew_p)):
+        with pytest.raises(ValueError):
+            sphere_integral(np.ones((len(grid_t), len(grid_p))), grid_t, grid_p)
 
 
 def test_quadrature_weights_shape():

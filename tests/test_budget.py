@@ -104,8 +104,6 @@ def test_scheme_gains_on_ideal_superposition():
     assert sg.hellinger.gain == pytest.approx(16.0, rel=0.02)
     assert sg.pulse_hellinger.gain == pytest.approx(16.0, rel=0.02)
     assert 15.5 < sg.magnetization.gain < 16.6
-    assert sg.parity.method == "parity"
-    assert sg.hellinger.method == "hellinger"
 
 
 def test_scheme_gains_respect_bound_on_mixed_state():

@@ -205,6 +205,11 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
         main(["parity", "--format", "parquet"])
     assert info.value.code == 2
     capsys.readouterr()
+    # --dataset belongs to tomo alone
+    with pytest.raises(SystemExit) as info:
+        main(["parity", "--config", config_path, "--dataset", config_path])
+    assert info.value.code == 2
+    assert "--dataset" in capsys.readouterr().err
 
 
 def test_dataset_errors(config_path, tmp_path, capsys):
@@ -241,8 +246,9 @@ def test_dataset_errors(config_path, tmp_path, capsys):
         assert f"2j+1 = {outcomes} outcomes" in err
 
     # structural faults: a j that is no number, counts that are not
-    # integers, no equatorial settings, phase corrections that do not
-    # pair with the settings; each names its key
+    # integers or not 2j+1 of them, no equatorial settings, angles over a
+    # half turn, phase corrections that do not pair with the settings;
+    # each names its key, or the length or span at fault
     j1 = dataset_to_json(synthesize_dataset(kitten_state(1.0), atom_total=50, seed=2))
     records = j1["settings"]
     for fault, key in (
@@ -252,7 +258,12 @@ def test_dataset_errors(config_path, tmp_path, capsys):
             ({"z_counts": [True, *j1["z_counts"][1:]]}, "'z_counts'"),
             ({"settings": [{**records[0], "counts": [1, 2.5, 3]}, *records[1:]]},
              "'settings[0].counts'"),
+            ({"z_counts": []}, "'z_counts' holds 0 counts"),
+            ({"settings": [{**records[0], "counts": []}, *records[1:]]},
+             "'settings[0].counts' holds 0 counts"),
             ({"settings": []}, "'settings'"),
+            ({"settings": [*records[:-1], {**records[-1], "phi": 4.0}]},
+             "span 4 rad"),
             ({"settings": [5, *records[1:]]}, "'settings[0]'"),
             ({"settings": [{**records[0], "phi": "0"}, *records[1:]]},
              "'settings[0].phi'"),
@@ -423,7 +434,12 @@ REFERENCES = (
     ("tomography.dataset_to_json", "writes this file's --dataset fixtures"),
     ("core.Y_AXIS", "the y axis that test_core checks beside X_AXIS and Z_AXIS"),
     ("core.dimension", "the 2j+1 that test_core checks operators against"),
-    ("core.projector", "builds the mixed states of test_fidelity_cases"),
+)
+# Class members (methods, properties, dataclass fields) that reached
+# code never reads, kept for the same reason
+MEMBER_REFERENCES = (
+    ("core.Direction.vector",
+     "the geometry that test_core and test_measurement check axes against"),
 )
 
 
@@ -433,6 +449,29 @@ def _defined_names(node):
     targets = node.targets if isinstance(node, ast.Assign) else (
         [node.target] if isinstance(node, ast.AnnAssign) else [])
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _members(node):
+    """Member name -> definition of a class; dunders belong to the class."""
+    if not isinstance(node, ast.ClassDef):
+        return {}
+    return {name: item for item in node.body for name in _defined_names(item)
+            if not name.startswith("__")}
+
+
+def _walk(tree, skip):
+    """The nodes of `tree`, not descending into the nodes in `skip`."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(child for child in ast.iter_child_nodes(node)
+                    if child not in skip)
+
+
+def _attribute_reads(nodes):
+    return {node.attr for node in nodes if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
 
 
 def test_library_holds_only_what_commands_demos_and_paper_checks_reach():
@@ -491,13 +530,14 @@ def test_library_holds_only_what_commands_demos_and_paper_checks_reach():
                 return lookup(base[0], node.attr)
         return None
 
-    def references(scope, tree):
-        found = (resolve(scope, node) for node in ast.walk(tree))
+    def references(scope, nodes):
+        found = (resolve(scope, node) for node in nodes)
         return {ref for ref in found if ref is not None and ref[1] is not None}
 
     # roots: the CLI's definitions and what the demos, acceptance tests
-    # and benchmark use
+    # and benchmark use, and the attributes those files read
     roots = {("cli", name) for name in defs["cli"]}
+    reads = set()
     outside = [os.path.join(root, "tests", "test_acceptance.py")]
     for folder in ("demos", "perfbench"):
         outside += [os.path.join(root, folder, name)
@@ -507,17 +547,37 @@ def test_library_holds_only_what_commands_demos_and_paper_checks_reach():
         scope, tree = path, parse(path)
         defs[scope], imports[scope] = {}, {}
         read_imports(scope, tree)
-        roots |= references(scope, tree)
+        nodes = list(ast.walk(tree))
+        roots |= references(scope, nodes)
+        reads |= _attribute_reads(nodes)
+
+    # a reference is (module, name) or (module, class, member); a reached
+    # class brings its dunders along, and each other member once reached
+    # code or a root file reads an attribute of its name
+    def definition(ref):
+        node = defs[ref[0]][ref[1]]
+        return node if len(ref) == 2 else _members(node)[ref[2]]
 
     reached, todo = set(), list(roots)
     while todo:
         ref = todo.pop()
         if ref not in reached:
             reached.add(ref)
-            todo.extend(references(ref[0], defs[ref[0]][ref[1]]))
-    kept = {tuple(name.split(".")) for name, _ in REFERENCES}
+            node = definition(ref)
+            skip = set(_members(node).values()) if len(ref) == 2 else set()
+            nodes = list(_walk(node, skip))
+            todo.extend(references(ref[0], nodes))
+            reads |= _attribute_reads(nodes)
+        if not todo:
+            todo = [(*cls, name) for cls in reached if len(cls) == 2
+                    for name in _members(definition(cls))
+                    if name in reads and (*cls, name) not in reached]
+    kept = {tuple(name.split("."))
+            for name, _ in (*REFERENCES, *MEMBER_REFERENCES)}
     library = {(mod, name) for mod in trees if mod != "__init__"
                for name in defs[mod] if not name.startswith("__")}
+    library |= {(*ref, name) for ref in library if ref in reached
+                for name in _members(definition(ref))}
     assert sorted(".".join(ref) for ref in library - reached - kept) == []
     # every kept reference exists and is reached no other way
     assert sorted(".".join(ref) for ref in kept - library) == []

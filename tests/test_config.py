@@ -169,7 +169,7 @@ def test_run_config_validation():
 
 
 def _retired_documents():
-    """Documents carrying a setting that schema version 2 removed."""
+    """Documents carrying a setting that schema version 2 or 3 removed."""
     doc = config_to_json(default_config())
     light = json.loads(canonical_json(doc))
     light["light"] = {"linewidth_per_s": 0.85e6,
@@ -180,10 +180,17 @@ def _retired_documents():
     v1 = json.loads(canonical_json(light))
     v1["noise"]["g_factor"] = 1.2416
     v1["schema_version"] = 1
-    return {"v1": v1, "light": light, "g_factor": g_factor}
+    # version 3 removed the Gaussian imperfection sampling
+    sampling = json.loads(canonical_json(doc))
+    sampling["imperfections"]["sampling"] = "positional"
+    # a complete version-2 document has it and its own version number
+    v2 = json.loads(canonical_json(sampling))
+    v2["schema_version"] = 2
+    return {"v1": v1, "light": light, "g_factor": g_factor,
+            "v2": v2, "sampling": sampling}
 
 
-@pytest.mark.parametrize("name", ["v1", "light", "g_factor"])
+@pytest.mark.parametrize("name", ["v1", "light", "g_factor", "v2", "sampling"])
 def test_retired_settings_are_rejected(name, tmp_path, capsys):
     doc = _retired_documents()[name]
     with pytest.raises(ValueError):

@@ -17,6 +17,8 @@ from mesospin import (
     ramsey_simulate,
     scaling_identity_check,
 )
+from mesospin.core import m_values, spin_of
+from mesospin.rng import substream
 
 TAU0 = 740e-6
 STATIC = NoiseModel.static_from_time(TAU0)
@@ -109,26 +111,36 @@ def test_kitten_dephase_exact_channel():
     assert coherence_ratio(out) == pytest.approx(want, rel=1e-12)
 
 
+def _sampled_dephase(rho, model, t, runs, seed):
+    """Monte-Carlo average of e^{-i delta_phi Jz} rho e^{+i delta_phi Jz}
+    over `runs` drawn precession angles, the reference that the closed
+    form of `kitten_dephase` is held to."""
+    if model.kind == "static-gaussian":
+        sigma = model.gamma * model.rms_field * t
+    else:
+        sigma = model.gamma * math.sqrt(2.0 * model.diffusion * t)
+    draws = substream(seed).normal(0.0, sigma, runs)
+    # per draw, U = e^{-i delta_phi Jz} is diagonal, so U rho U^dag is
+    # rho * outer(u, u*) with u its diagonal
+    u = np.exp(-1j * draws[:, None] * m_values(spin_of(rho))[None, :])
+    return rho * (u.T @ u.conj()) / runs
+
+
 def test_kitten_dephase_sampled_matches_analytic():
     rho = np.outer(kitten_state(8), kitten_state(8).conj())
     t = 40e-6
     exact = kitten_dephase(rho, STATIC, t)
-    sampled = kitten_dephase(rho, STATIC, t, runs=20000, seed=3)
+    sampled = _sampled_dephase(rho, STATIC, t, runs=20000, seed=3)
     assert np.allclose(np.diag(sampled), np.diag(rho), atol=1e-15)
     assert abs(sampled[0, 16] - exact[0, 16]) < 0.02
-    with pytest.raises(ValueError):
-        kitten_dephase(rho, STATIC, -1e-6, runs=10, seed=0)
     with pytest.raises(ValueError):
         kitten_dephase(kitten_state(8), STATIC, t)
 
 
-def test_decay_curve_validation_and_refit():
+def test_decay_curve_validation():
     times = np.linspace(0.0, 1e-3, 20)
     values = 8 * np.exp(-((times / TAU0) ** 2))
-    curve = DecayCurve(times=times, values=values, tau=TAU0, model="gaussian", amplitude=8.0)
-    other = curve.refit("exponential")
-    assert other.model == "exponential"
-    assert np.array_equal(other.values, curve.values)
+    DecayCurve(times=times, values=values, tau=TAU0, model="gaussian", amplitude=8.0)
     with pytest.raises(ValueError):
         DecayCurve(times=times, values=values[:-1], tau=TAU0, model="gaussian", amplitude=8.0)
     with pytest.raises(ValueError):

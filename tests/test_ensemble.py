@@ -106,8 +106,6 @@ def test_imperfection_config_validation():
     with pytest.raises(ValueError):
         ImperfectionConfig(pulse_rise_time=-1e-9)
     with pytest.raises(ValueError):
-        ImperfectionConfig(sampling="uniform")
-    with pytest.raises(ValueError):
         ImperfectionConfig(ensemble_samples=0)
     with pytest.raises(ValueError):
         ImperfectionConfig(field_axis_components=(0.0, 0.0, 0.0))
@@ -309,12 +307,11 @@ def test_kitten_pulse_step_count():
     assert ensemble.pulse_steps(exact, T_KITTEN) == 0
 
 
-def test_calibrated_rate_ignores_samples_seed_and_sampling(monkeypatch):
+def test_calibrated_rate_ignores_samples_and_seed(monkeypatch):
     coupling, imp = _default_physics()
     rate = _rate(DOWN, coupling, imp, T_KITTEN)
     assert rate > 0
     for other in (replace(imp, ensemble_samples=1),
-                  replace(imp, sampling="gaussian"),
                   replace(imp, intensity_rms_fraction=0.0, stokes_s3=0.0),
                   replace(imp, cloud_sigma=2e-5, initial_leak_fraction=0.0)):
         assert _rate(DOWN, coupling, other, T_KITTEN) == rate

@@ -64,7 +64,6 @@ def test_sampled_scan_is_deterministic_and_needs_seed():
 def test_parity_gain_of_ideal_superposition():
     phis = np.linspace(0.0, math.pi / 8, 129)
     rep = gain_from_parity(equatorial_phase_scan(KITTEN, phis), varz_bound=64.0)
-    assert rep.method == "parity"
     assert rep.gain == pytest.approx(16.0, abs=1e-9)
     assert rep.fit.period == pytest.approx(math.pi / 8, abs=1e-9)
     assert rep.bound == pytest.approx(16.0, abs=1e-9)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,9 +181,10 @@ def test_synthesis_determinism_and_seed_requirement():
 def test_dataset_validation_and_phase_corrections():
     with pytest.raises(ValueError):
         synthesize_dataset(KITTEN, phis=np.linspace(0.0, 1.1 * math.pi, 12))
+    data = synthesize_dataset(KITTEN, phis=[0.0, 0.1])
     with pytest.raises(ValueError):
-        synthesize_dataset(KITTEN, phis=[0.0, 0.1], phase_corrections=[0.01])
-    data = synthesize_dataset(KITTEN, phis=[0.0, 0.1], phase_corrections=[0.01, -0.02])
+        replace(data, phase_corrections=[0.01])
+    data = replace(data, phase_corrections=[0.01, -0.02])
     assert data.settings[1].phi == equatorial_direction(0.01).phi
     assert data.settings[2].phi == equatorial_direction(0.08).phi
 
