@@ -166,10 +166,9 @@ def _theta_weights(thetas):
 
 def _phi_weights(phis):
     n = len(phis)
-    step = 2 * math.pi / n
-    if not np.allclose(np.diff(phis), step, atol=1e-12):
-        raise ValueError("azimuths must be a uniform grid of step 2 pi / n")
-    return np.full(n, step)
+    if n == 0 or not np.allclose(np.diff(phis), 2 * math.pi / n, atol=1e-12):
+        raise ValueError("azimuths must be a non-empty uniform grid of step 2 pi / n")
+    return np.full(n, 2 * math.pi / n)
 
 
 def sphere_quadrature(thetas, phis):

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import m_values, make_operators, spin_of, spin_variance
+from .core import make_operators, spin_of, spin_variance
 from .fitting import fit_sinusoid
 from .measurement import (
+    _phase_scan,
     _polar_rotation,
     equatorial_scan,
     magnetization,
@@ -278,39 +279,41 @@ def classical_fisher(scan, phi):
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 
 
+def _fisher(state, phis):
+    """Fisher information of the Larmor phase at each of phis.
+
+    Probabilities and their exact phase derivatives come from one
+    Fourier table of the state read out in the basis R_y(pi/2)
+    (`measurement._phase_scan`); at each angle, outcomes with
+    probability at or below 1e-12 are dropped.
+    """
+    j = spin_of(state)
+    p, dp = _phase_scan(state, _polar_rotation(int(round(2 * j)), math.pi / 2), phis)
+    terms = np.divide(dp**2, p, out=np.zeros_like(p), where=p > _PROBABILITY_FLOOR)
+    return terms.sum(axis=-1)
+
+
 def fisher_information(state, phi=0.0):
     """Exact Fisher information of the Larmor phase at offset phi.
 
     The state is rotated by exp(-i phi Jz) and read out in a fixed
-    equatorial basis; the probability derivative is evaluated exactly
-    through d sigma/d phi = -i [Jz, sigma].  Outcomes with probability
-    at or below 1e-12 are dropped, as in `classical_fisher`.
+    equatorial basis; the probabilities are the trigonometric polynomial
+    of `measurement._phase_scan`, differentiated exactly.  Outcomes with probability at or below 1e-12 are dropped, as in
+    `classical_fisher`.
     """
-    state = np.asarray(state)
-    j = spin_of(state)
-    rho = state if state.ndim == 2 else np.outer(state, state.conj())
-    m = m_values(j)
-    basis = _polar_rotation(int(round(2 * j)), math.pi / 2)
-    rz = np.exp(-1j * phi * m)
-    sigma = (rz[:, None] * rho) * rz.conj()[None, :]
-    dsigma = -1j * (m[:, None] - m[None, :]) * sigma
-    p = np.real(np.einsum("im,ik,km->m", basis.conj(), sigma, basis))
-    dp = np.real(np.einsum("im,ik,km->m", basis.conj(), dsigma, basis))
-    mask = p > _PROBABILITY_FLOOR
-    return float(np.sum(dp[mask] ** 2 / p[mask]))
+    return float(_fisher(state, [phi])[0])
 
 
 def fisher_gain(state, *, n_phi=360):
     """Best Fisher gain max_phi F(phi)/(2j) over a quarter parity period.
 
+    All n_phi angles are evaluated from one Fourier table of the state.
     For the ideal two-component superposition this evaluates to exactly
     2j; imperfect states fall below it.
     """
     j = spin_of(np.asarray(state))
-    best = 0.0
-    for phi in np.linspace(0.0, math.pi / 4, n_phi, endpoint=False):
-        best = max(best, fisher_information(state, phi))
-    return best / (2 * j)
+    phis = np.linspace(0.0, math.pi / 4, n_phi, endpoint=False)
+    return float(np.max(_fisher(state, phis), initial=0.0)) / (2 * j)
 
 
 def variance_bound(state):

@@ -30,6 +30,7 @@ from .measurement import (
     DimensionError,
     ProjectionDistribution,
     _axis_basis,
+    _diagonal_sums,
     equatorial_direction,
     projection_probs,
     sample_counts,
@@ -90,10 +91,8 @@ class TomographyDataset:
     @property
     def settings(self):
         """Measurement axes: z first, then the corrected equatorial angles."""
-        axes = [Z_AXIS]
-        for phi, corr in zip(self.equatorial.phis, self.phase_corrections):
-            axes.append(equatorial_direction(phi + corr))
-        return axes
+        return (Z_AXIS, *(equatorial_direction(phi + corr) for phi, corr
+                          in zip(self.equatorial.phis, self.phase_corrections)))
 
     @property
     def observations(self):
@@ -114,6 +113,7 @@ def synthesize_dataset(state, phis=None, *, atom_total=None, seed=None):
         phis = default_equatorial_angles()
     phis = np.asarray(phis, dtype=float)
     zd = projection_probs(state, Z_AXIS)
+    # not `equatorial_scan`: its ~1e-17 for an exact 0 redirects the multinomial draws
     dists = [projection_probs(state, equatorial_direction(p)) for p in phis]
     provenance = "exact"
     if atom_total is not None:
@@ -305,8 +305,9 @@ def _hermitian(x, d):
     return h
 
 
+@lru_cache(maxsize=4)
 def _design(j, settings):
-    """Design matrix of one set of measurement settings.
+    """Design matrix of one tuple of measurement settings, read-only and cached.
 
     Row (s, m) holds the coordinates of the outcome projector
     |b_sm><b_sm| minus 1/d, so predictions = matrix @ _coordinates(rho)
@@ -318,7 +319,9 @@ def _design(j, settings):
     n_settings, d, _ = kets.shape
     projectors = kets[:, :, :, None] * kets[:, :, None, :].conj()
     projectors -= np.eye(d) / d
-    return _coordinates(projectors).reshape(n_settings * d, d * d)
+    design = _coordinates(projectors).reshape(n_settings * d, d * d)
+    design.setflags(write=False)
+    return design
 
 
 def _project(rho):
@@ -472,9 +475,7 @@ def wigner(rho, thetas, phis, *, with_residue=False):
     # sum_ab rho_ab e^{i (a-b) phi} sum_m Delta_m conj(R_am) R_bm
     weighted = rho * ((ry.conj() * _wigner_kernel(d - 1)) @ ry.transpose(0, 2, 1))
     offsets = np.arange(1 - d, d)
-    profile = np.stack([np.trace(weighted, offset=k, axis1=1, axis2=2)
-                        for k in offsets], axis=-1)
-    w = profile @ np.exp(-1j * np.multiply.outer(offsets, phis))
+    w = _diagonal_sums(weighted) @ np.exp(-1j * np.multiply.outer(offsets, phis))
     residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
     if with_residue:
         return w.real, residue

@@ -156,6 +156,9 @@ def test_sphere_integral_rejects_wrong_shapes_and_grids():
     for grid_t, grid_p in ((skew_t, phis), (thetas, skew_p)):
         with pytest.raises(ValueError):
             sphere_integral(np.ones((len(grid_t), len(grid_p))), grid_t, grid_p)
+    # an empty azimuth grid has no step 2 pi / n
+    with pytest.raises(ValueError, match="non-empty"):
+        sphere_integral(np.ones((181, 0)), thetas, [])
 
 
 def test_quadrature_weights_shape():

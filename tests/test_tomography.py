@@ -128,6 +128,16 @@ def test_weighted_fits_step_by_the_exact_lipschitz_constant():
     assert iterations < 2000
 
 
+def test_design_is_shared_per_settings_and_read_only():
+    data = synthesize_dataset(KITTEN, atom_total=2000, seed=4)
+    design = mesospin.tomography._design(data.j, data.settings)
+    assert not design.flags.writeable
+    # other data on the same settings reuse the matrix, corrected angles do not
+    assert mesospin.tomography._design(8.0, synthesize_dataset(KITTEN).settings) is design
+    shifted = replace(data, phase_corrections=np.full(33, 0.01))
+    assert mesospin.tomography._design(8.0, shifted.settings) is not design
+
+
 _FIT_IN_SUBPROCESS = """
 import sys
 import numpy as np
