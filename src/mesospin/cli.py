@@ -434,7 +434,9 @@ def cmd_tomo(cfg, dataset_path=None):
     if not fit.converged:
         raise RuntimeError(
             f"reconstruction did not converge in {fit.n_iterations} iterations "
-            f"(objective {fit.objective:.3e}, duality gap {fit.duality_gap:.3e})")
+            f"(objective {fit.objective:.3e}, duality gap {fit.duality_gap:.3e}, "
+            f"distance bound {fit.distance_bound:.3e}, "
+            f"unobserved dimension {fit.unobserved_dimension})")
     boot = bootstrap_errors(data, n_resamples=16, seed=(cfg.seed + 1) % 2**64)
     rho = fit.rho
     d = rho.shape[0]
@@ -459,10 +461,12 @@ def cmd_tomo(cfg, dataset_path=None):
         "coherence_ratio_bootstrap_std":
             float(2.0 * boot[0, d - 1] / (rho[0, 0].real + rho[-1, -1].real)),
         "underdetermined": fit.underdetermined,
+        "unobserved_dimension": fit.unobserved_dimension,
         "objective": fit.objective,
         "converged": fit.converged,
         "n_iterations": fit.n_iterations,
         "duality_gap": fit.duality_gap,
+        "distance_bound": fit.distance_bound,
         "wigner_min": float(np.min(w)),
         "wigner_imag_residue": residue,
     }

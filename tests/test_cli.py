@@ -398,6 +398,8 @@ def test_tomo_with_external_dataset(config_path, tmp_path):
     assert summary["wigner_min"] < 0.0
     assert summary["wigner_imag_residue"] < 1e-8
     assert summary["underdetermined"] is True
+    assert summary["unobserved_dimension"] == 128
+    assert summary["distance_bound"] <= 1e-6
 
     decay = json.loads((out / "fig5.summary.json").read_text())["summary"]
     assert decay["enhancement_ratio"] == pytest.approx(16.0, abs=0.5)

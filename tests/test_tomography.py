@@ -22,7 +22,9 @@ from mesospin import (
     coherence_ratio,
     dataset_from_json,
     dataset_to_json,
+    default_config,
     default_equatorial_angles,
+    ensemble_evolve,
     equatorial_direction,
     fidelity,
     fit_density_matrix,
@@ -35,7 +37,15 @@ from mesospin import (
     synthesize_dataset,
     wigner,
 )
-from mesospin.tomography import _wigner_kernel
+from mesospin.tomography import (
+    _MU,
+    _coordinates,
+    _design,
+    _fit,
+    _hermitian,
+    _project,
+    _wigner_kernel,
+)
 from multipole import multipole_decompose, multipole_wigner, reconstruct_density
 
 KITTEN = kitten_state(8)
@@ -45,6 +55,18 @@ RHO_KITTEN = np.outer(KITTEN, KITTEN.conj())
 def _mixed_state():
     model = NoiseModel.static_from_time(740e-6)
     return kitten_dephase(RHO_KITTEN, model, 46e-6)
+
+
+def _imperfect_kitten():
+    # the benchmark's imperfect kitten: 200 samples of intensity and
+    # ellipticity on the closed-form path; unlike the kitten, it has
+    # weight on directions the design does not observe
+    cfg = default_config()
+    imp = replace(cfg.imperfections, pulse_rise_time=0.0,
+                  scattering_probability=0.0, ensemble_samples=200)
+    coupling = replace(cfg.coupling, include_jx4=False)
+    return ensemble_evolve(basis_state(8.0, -8.0), coupling, imp,
+                           cfg.kitten_pulse_time(), 0)
 
 
 def test_default_angles_cover_half_turn():
@@ -68,6 +90,7 @@ def test_exact_reconstruction_of_pure_state():
     assert fit.underdetermined  # equatorial bases are real, so the linear
     # design leaves half the off-diagonal information to the positivity
     # constraint
+    assert fit.unobserved_dimension == 17 * 17 - 1 - 160
     assert fit.objective < 1e-12
     assert fidelity(fit.rho, KITTEN) > 0.999
     hist = np.array(fit.objective_history)
@@ -89,9 +112,19 @@ def test_sampled_reconstruction_recovers_coherence():
     assert coherence_ratio(fit.rho) == pytest.approx(1.0, abs=0.05)
 
 
+def _null_basis(design):
+    """Orthonormal rows spanning the null space of a design, from its SVD."""
+    _, s, vt = np.linalg.svd(design)
+    return vt[np.count_nonzero(s > s[0] * max(design.shape) * np.finfo(float).eps):]
+
+
 def _objective(rho, data):
+    """F of `fit_density_matrix`: least squares plus the tie-break toward 1/d."""
     r = forward_model(rho, data.settings) - data.observations
-    return 0.5 * float(np.sum(r * r))
+    d = len(rho)
+    null = _null_basis(_design(data.j, data.settings))
+    unobserved = null @ _coordinates(rho - np.eye(d) / d)
+    return 0.5 * float(np.sum(r * r)) + 0.5 * _MU * float(unobserved @ unobserved)
 
 
 def test_sampled_fit_is_certified_optimal(monkeypatch):
@@ -126,6 +159,58 @@ def test_weighted_fits_step_by_the_exact_lipschitz_constant():
         assert fit.converged
         iterations += fit.n_iterations
     assert iterations < 2000
+
+
+@pytest.mark.parametrize("atoms", [2000, 90000])
+@pytest.mark.parametrize("state", ["kitten", "imperfect"])
+def test_fit_lies_within_its_distance_bound_of_the_estimate(monkeypatch, state, atoms):
+    truth = KITTEN if state == "kitten" else _imperfect_kitten()
+    data = synthesize_dataset(truth, atom_total=atoms, seed=2)
+    fit = fit_density_matrix(data)
+    assert fit.converged
+    # the reference runs on until a plain step no longer descends, which
+    # the rounding of the projection allows down to a bound of about 1e-8
+    monkeypatch.setattr(mesospin.tomography, "_DISTANCE_TOL", 1e-10)
+    reference = fit_density_matrix(data)
+    assert np.linalg.norm(fit.rho - reference.rho) <= fit.distance_bound <= 1e-6
+
+
+def test_weighted_fit_lies_within_its_distance_bound_of_the_estimate(monkeypatch):
+    data = synthesize_dataset(kitten_state(4.0), atom_total=2000, seed=11)
+    design = _design(data.j, data.settings)
+    obs = data.observations
+    weights = substream(5, 0).exponential(1.0, size=obs.shape)
+    fit = _fit(design, obs, weights)
+    assert fit.converged
+    monkeypatch.setattr(mesospin.tomography, "_DISTANCE_TOL", 1e-10)
+    reference = _fit(design, obs, weights)
+    assert np.linalg.norm(fit.rho - reference.rho) <= fit.distance_bound <= 1e-6
+
+
+def test_estimate_does_not_depend_on_the_start():
+    # plain projected gradient steps on the F of `_objective`, from the
+    # projected linear inversion and from a random state, reach the
+    # estimate FISTA finds from 1/d
+    data = synthesize_dataset(_imperfect_kitten(), atom_total=2000, seed=3)
+    fit = fit_density_matrix(data)
+    design = _design(data.j, data.settings)
+    null = _null_basis(design)
+    target = data.observations.ravel() - 1.0 / 17
+    center = _coordinates(np.eye(17) / 17)
+    step = 1.0 / max(_MU, np.linalg.norm(design, 2) ** 2)
+
+    def gradient(rho):
+        x = _coordinates(rho)
+        g = design.T @ (design @ x - target) + _MU * null.T @ (null @ (x - center))
+        return _hermitian(g, 17)
+
+    inversion = np.linalg.lstsq(design, target, rcond=None)[0]
+    starts = (_project(_hermitian(inversion, 17) + np.eye(17) / 17),
+              _random_mixed_state(17, np.random.default_rng(8)))
+    for rho in starts:
+        for _ in range(3000):
+            rho = _project(rho - step * gradient(rho))
+        assert np.linalg.norm(rho - fit.rho) <= 1e-6
 
 
 def test_design_is_shared_per_settings_and_read_only():
