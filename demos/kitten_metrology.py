@@ -21,6 +21,7 @@ from mesospin import (
     gain_from_parity,
     kitten_state,
     parity_gain_from_contrast,
+    sample_scan,
     variance_bound,
 )
 
@@ -41,11 +42,10 @@ def parity_section(kitten):
 def hellinger_section(kitten, coherent, atom_total, seed):
     window = 0.3 / (2 * J)
     phis = np.linspace(0.0, 3.0 * window, 25)
-    exact_k = gain_from_hellinger(equatorial_phase_scan(kitten, phis), 0.0)
-    exact_c = gain_from_hellinger(equatorial_phase_scan(coherent, phis), 0.0)
+    exact_k = gain_from_hellinger(equatorial_phase_scan(kitten, phis))
+    exact_c = gain_from_hellinger(equatorial_phase_scan(coherent, phis))
     sampled = gain_from_hellinger(
-        equatorial_phase_scan(kitten, phis, atom_total=atom_total, seed=seed),
-        0.0)
+        sample_scan(equatorial_phase_scan(kitten, phis), atom_total, seed))
     print("\nhellinger-distance slopes")
     print(f"  coherent slope {math.sqrt(exact_c.gain * J / 4.0):.4f} "
           f"(sqrt(J/4) = {math.sqrt(J / 4.0):.4f})")

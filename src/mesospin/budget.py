@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import basis_state, expi_hermitian, make_operators, spin_of, spin_variance
 from .dynamics import kitten_state
-from .ensemble import _ensemble_density, _imperfection_draws
+from .ensemble import ImperfectionConfig, _ensemble_density, _imperfection_draws
 from .measurement import ramsey_scan
 from .metrology import (
     PhaseScan,
@@ -62,12 +62,18 @@ class BudgetRow:
 
 @dataclass(frozen=True)
 class GainBudget:
-    """Budget rows; `combined_state` is the ensemble state of the combined row."""
+    """Budget rows; `combined_state` is the ensemble state of the combined row.
+
+    `intensities` and `ellipticities` are the per-sample draws of the
+    cloud that the flagged rows and the combined row share.
+    """
 
     ideal_gain: float
     rows: tuple
     combined: BudgetRow
     combined_state: np.ndarray
+    intensities: np.ndarray
+    ellipticities: np.ndarray
 
     def row(self, label):
         for r in self.rows:
@@ -88,14 +94,14 @@ _SCAN_HALFWIDTH = 0.03
 _N_PHI = 180
 
 
-def _best_gain(initial, cfg, imp, seed):
+def _best_gain(initial, cfg, imp, f, eps, seed):
     """Maximal Fisher gain over the pulse-duration recalibration scan.
 
+    `f` and `eps` are the per-sample intensities and ellipticities.
     Returns (gain, pulse time, ensemble state at that time).
     """
     j = spin_of(initial)
     ops = make_operators(j)
-    f, eps = _imperfection_draws(imp, seed)
     nominal = (math.pi / 2.0) / _effective_coupling(cfg, j)
     scan_points, scan_halfwidth = ((_SCAN_POINTS, _SCAN_HALFWIDTH)
                                    if cfg.include_jx4 else (1, 0.0))
@@ -113,39 +119,36 @@ def gain_budget(cfg, imp, *, j=8.0, seed=0):
     """Per-imperfection gain corrections and the combined budget.
 
     `cfg` and `imp` describe the full experiment (static field with its
-    tilted axis, quartic correction, intensity and polarization spread,
+    tilted axis, quartic correction, the cloud of width `cloud_sigma`,
     leak, rise time, scattering); each row re-runs the ensemble with
-    only its own effect enabled.  Rows with the quartic correction
-    rescan the pulse duration at 13 points within +-3 % of its
-    renormalized nominal value, and every gain, the ideal one included,
-    is the best Fisher gain over 180 readout angles.
+    only its own effect enabled.  The cloud is drawn once: the intensity
+    row keeps its intensities at zero ellipticity, the ellipticity row
+    its ellipticities at unit intensity, and the other rows put the
+    same number of samples on the beam axis.  Rows with the quartic correction rescan
+    the pulse duration at 13 points within +-3 % of its renormalized
+    nominal value, and every gain, the ideal one included, is the best
+    Fisher gain over 180 readout angles.
     """
     initial = basis_state(j, -j)
     ideal = fisher_gain(kitten_state(j), n_phi=_N_PHI)
+    f, eps = _imperfection_draws(imp, seed)
+    ones, zeros = np.ones_like(f), np.zeros_like(eps)
 
-    off = replace(
-        imp, intensity_rms_fraction=0.0, stokes_s3=0.0,
-        field_axis_components=None, initial_leak_fraction=0.0,
-        pulse_rise_time=0.0, scattering_probability=0.0,
-    )
+    off = ImperfectionConfig()
     bare = replace(cfg, omega_larmor=0.0, include_jx4=False)
     with_field = replace(cfg, include_jx4=False)
 
-    def run(label, row_cfg, row_imp, *, baseline=ideal, flagged=False):
-        gain, t_best, _ = _best_gain(initial, row_cfg, row_imp, seed)
+    def run(label, row_cfg, row_imp, draws=(ones, zeros), *, baseline=ideal,
+            flagged=False):
+        gain, t_best, _ = _best_gain(initial, row_cfg, row_imp, *draws, seed)
         return BudgetRow(label=label, gain=gain, correction=gain - baseline,
                          pulse_time=t_best, flagged=flagged)
 
     rows = []
-    rows.append(run(
-        "intensity inhomogeneity", bare,
-        replace(off, intensity_rms_fraction=imp.intensity_rms_fraction),
-        flagged=True,
-    ))
-    rows.append(run(
-        "polarization ellipticity", bare,
-        replace(off, stokes_s3=imp.stokes_s3), flagged=True,
-    ))
+    rows.append(run("intensity inhomogeneity", bare, off, (f, zeros),
+                    flagged=True))
+    rows.append(run("polarization ellipticity", bare, off, (ones, eps),
+                    flagged=True))
     field_row = run("static field amplitude", with_field, off)
     rows.append(field_row)
     rows.append(run(
@@ -169,11 +172,11 @@ def gain_budget(cfg, imp, *, j=8.0, seed=0):
         "photon scattering", bare,
         replace(off, scattering_probability=imp.scattering_probability),
     ))
-    gain, t_best, state = _best_gain(initial, cfg, imp, seed)
+    gain, t_best, state = _best_gain(initial, cfg, imp, f, eps, seed)
     combined = BudgetRow(label="combined", gain=gain, correction=gain - ideal,
                          pulse_time=t_best)
     return GainBudget(ideal_gain=ideal, rows=tuple(rows), combined=combined,
-                      combined_state=state)
+                      combined_state=state, intensities=f, ellipticities=eps)
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,7 @@ def measurement_scheme_gains(state):
 
     phis_w = np.linspace(0.0, hellinger_window(j), 9)
     scan_w = equatorial_phase_scan(state, phis_w)
-    hellinger_report = gain_from_hellinger(scan_w, 0.0, varz_bound=varz)
+    hellinger_report = gain_from_hellinger(scan_w, varz_bound=varz)
 
     pulse = expi_hermitian(ops.jx @ ops.jx, math.pi / 2.0)
     ramsey = PhaseScan(phis=phis, distributions=ramsey_scan(state, phis, pulse))
@@ -218,7 +221,7 @@ def measurement_scheme_gains(state):
 
     ramsey_w = PhaseScan(phis=phis_w,
                          distributions=ramsey_scan(state, phis_w, pulse))
-    pulse_hellinger_report = gain_from_hellinger(ramsey_w, 0.0, varz_bound=varz)
+    pulse_hellinger_report = gain_from_hellinger(ramsey_w, varz_bound=varz)
 
     return SchemeGains(
         parity=parity_report,

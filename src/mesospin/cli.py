@@ -242,7 +242,6 @@ def cmd_evolve(cfg):
     states = [oat_closed_form(j, g) for g in grid]
 
     imp = cfg.imperfections
-    coupling = replace(cfg.coupling, include_jx4=False)
     ops = make_operators(j)
     f, eps = _imperfection_draws(imp, cfg.seed)
     initial = basis_state(j, -j)
@@ -259,7 +258,7 @@ def cmd_evolve(cfg):
     mz_imp_pi = None
     for g, state in zip(grid, states):
         dist = projection_probs(state)
-        rho = _ensemble_density(initial, coupling, imp, g / omega, f, eps,
+        rho = _ensemble_density(initial, cfg.coupling, imp, g / omega, f, eps,
                                 cfg.seed, ops)
         dist_imp = projection_probs(rho)
         row = ([g] + [float(p) for p in dist.probabilities] +
@@ -308,9 +307,8 @@ def cmd_evolve(cfg):
 
 def _imperfect_state(cfg):
     """Ensemble-averaged superposition state at the nominal pulse time."""
-    coupling = replace(cfg.coupling, include_jx4=False)
     initial = basis_state(cfg.j, -cfg.j)
-    return ensemble_evolve(initial, coupling, cfg.imperfections,
+    return ensemble_evolve(initial, cfg.coupling, cfg.imperfections,
                            cfg.kitten_pulse_time(), cfg.seed)
 
 
@@ -377,8 +375,8 @@ def cmd_hellinger(cfg):
 
     scan_c = equatorial_phase_scan(coherent, phis)
     scan_k = equatorial_phase_scan(kitten, phis)
-    scan_i = equatorial_phase_scan(rho, phis, atom_total=cfg.atom_total,
-                                   seed=cfg.seed)
+    scan_i = sample_scan(equatorial_phase_scan(rho, phis), cfg.atom_total,
+                         cfg.seed)
     records = []
     for i, phi in enumerate(phis):
         records.append([
@@ -388,9 +386,9 @@ def cmd_hellinger(cfg):
             hellinger_distance(scan_i.distributions[0], scan_i.distributions[i]),
         ])
 
-    report_k = gain_from_hellinger(scan_k, 0.0)
+    report_k = gain_from_hellinger(scan_k)
     varz = variance(projection_probs(rho))
-    report_i = gain_from_hellinger(scan_i, 0.0, varz_bound=varz)
+    report_i = gain_from_hellinger(scan_i, varz_bound=varz)
     summary = {
         "gain_ideal": report_k.gain,
         "gain_imperfect_sampled": report_i.gain,
@@ -511,6 +509,7 @@ def cmd_budget(cfg):
     """Imperfection budget of the metrological gain."""
     coupling = replace(cfg.coupling, include_jx4=True)
     budget = gain_budget(coupling, cfg.imperfections, j=cfg.j, seed=cfg.seed)
+    f, eps = budget.intensities, budget.ellipticities
     records = [
         [row.label, row.gain, row.correction, row.pulse_time, row.flagged]
         for row in budget.rows
@@ -523,6 +522,11 @@ def cmd_budget(cfg):
         "combined_gain": budget.combined.gain,
         "combined_correction": budget.combined.correction,
         "ensemble_samples": cfg.imperfections.ensemble_samples,
+        # the cloud the flagged rows saw: mean and relative rms spread of
+        # the intensity, rms of the ellipticity
+        "intensity_mean": float(np.mean(f)),
+        "intensity_rms": float(np.std(f) / np.mean(f)),
+        "ellipticity_rms": float(np.sqrt(np.mean(eps**2))),
     }
     write_artifact(cfg, "tableS1",
                    [("imperfection", ""), ("gain", "1"), ("correction", "1"),

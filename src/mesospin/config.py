@@ -2,8 +2,8 @@
 
 Every physical quantity carries its unit in the key name
 (omega_rad_per_s, cloud_sigma_m, ...) so files stay unambiguous, and
-the whole document hashes to a stable identifier that artifact
-metadata embeds for reproducibility.
+the document less its output section hashes to a stable identifier
+that artifact metadata embeds for reproducibility.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = [
     "apply_overrides",
 ]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # One (JSON key, attribute, type) row per setting.  The tables are the
 # only place a key is named: writing, reading and the unknown/missing
@@ -44,11 +44,8 @@ _COUPLING_KEYS = (
     ("omega_rad_per_s", "omega", float),
     ("omega_larmor_rad_per_s", "omega_larmor", float),
     ("detuning_rad_per_s", "detuning", float),
-    ("include_jx4", "include_jx4", bool),
 )
 _IMPERFECTION_KEYS = (
-    ("intensity_rms_fraction", "intensity_rms_fraction", float),
-    ("stokes_s3", "stokes_s3", float),
     ("field_axis_components", "field_axis_components", tuple),
     ("initial_leak_fraction", "initial_leak_fraction", float),
     ("pulse_rise_time_s", "pulse_rise_time", float),
@@ -62,13 +59,10 @@ _OUTPUT_KEYS = (
     ("directory", "out_dir", str),
     ("format", "out_format", str),
 )
-# noise kind -> (JSON key, attribute) of its scale, and the model of a
-# given 1/e time, which "coherence_time_s" sets in place of the scale
+# noise kind -> (JSON key, attribute) of its scale
 _NOISE_SCALES = {
-    "static-gaussian": ("rms_field_t", "rms_field",
-                        NoiseModel.static_from_time),
-    "markovian": ("diffusion_t2_s", "diffusion",
-                  NoiseModel.markovian_from_time),
+    "static-gaussian": ("rms_field_t", "rms_field"),
+    "markovian": ("diffusion_t2_s", "diffusion"),
 }
 _SECTIONS = ("coupling", "imperfections", "noise", "output")
 
@@ -110,11 +104,8 @@ def default_config():
         omega=2 * math.pi * 1.98e6,
         omega_larmor=2 * math.pi * 31.7e3,
         detuning=-2 * math.pi * 1.5e9,
-        include_jx4=False,
     )
     imperfections = ImperfectionConfig(
-        intensity_rms_fraction=0.06,
-        stokes_s3=1e-3,
         field_axis_components=(0.09, -0.11, 0.98),
         initial_leak_fraction=0.03,
         pulse_rise_time=50e-9,
@@ -145,7 +136,7 @@ def _write(obj, table):
 
 def config_to_json(cfg):
     """JSON document for a RunConfig, with unit-suffixed keys."""
-    key, attr, _ = _NOISE_SCALES[cfg.noise.kind]
+    key, attr = _NOISE_SCALES[cfg.noise.kind]
     return {
         "schema_version": SCHEMA_VERSION,
         **_write(cfg, _RUN_KEYS),
@@ -188,10 +179,8 @@ def _convert(value, kind, key):
                 or not -sys.float_info.max <= value <= sys.float_info.max:
             raise ValueError(f"'{key}' must be a finite number, not {value!r}")
         return float(value)
-    # bool("false") is True: a string must not switch a setting on
-    if not isinstance(value, kind):
-        raise ValueError(f"'{key}' must be of JSON type "
-                         f"{'string' if kind is str else 'boolean'}")
+    if not isinstance(value, str):
+        raise ValueError(f"'{key}' must be of JSON type string")
     return value
 
 
@@ -202,22 +191,15 @@ def _values(section, table):
 
 
 def _noise_from_json(doc):
-    scale_keys = [row[0] for row in _NOISE_SCALES.values()]
-    scale_keys.append("coherence_time_s")
-    _take(doc, "noise", (), ["kind", *scale_keys])
+    """The noise model of a section: its kind and that kind's one scale."""
+    if not isinstance(doc, dict):
+        raise ValueError("'noise' must be a JSON object")
     kind = doc.get("kind", "static-gaussian")
     if kind not in _NOISE_SCALES:
         raise ValueError(f"unknown noise kind {kind!r}")
-    scales = [key for key in doc if key != "kind"]
-    if len(scales) != 1:
-        raise ValueError(f"noise needs exactly one of {', '.join(scale_keys)}")
-    key, attr, from_time = _NOISE_SCALES[kind]
-    value = _convert(doc[scales[0]], float, scales[0])
-    if scales[0] == "coherence_time_s":
-        return from_time(value)
-    if scales[0] != key:
-        raise ValueError(f"{scales[0]} does not apply to {kind} noise")
-    return NoiseModel(kind=kind, **{attr: value})
+    key, attr = _NOISE_SCALES[kind]
+    _take(doc, "noise", [key], ["kind", key])
+    return NoiseModel(kind=kind, **{attr: _convert(doc[key], float, key)})
 
 
 def config_from_json(doc):
@@ -256,8 +238,14 @@ def canonical_json(doc):
 
 
 def config_hash(cfg):
-    """Hex digest identifying the effective configuration."""
-    text = canonical_json(config_to_json(cfg))
+    """Hex digest identifying the physics and sampling of a configuration.
+
+    The `output` section is left out, so one run written to two
+    directories or in both formats carries the same hash.
+    """
+    doc = config_to_json(cfg)
+    del doc["output"]
+    text = canonical_json(doc)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

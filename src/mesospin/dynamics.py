@@ -47,7 +47,9 @@ class CouplingConfig:
     field is an imperfection, `ImperfectionConfig.field_axis_components`).
     When include_jx4 is set, the leading quartic correction
     (omega^2/detuning) [(2J^2+3J+1) Jx^2 + Jx^4] is added, which requires
-    a nonzero detuning (rad/s).
+    a nonzero detuning (rad/s).  The configuration file carries no key
+    for it: `mesospin budget` turns it on and every other command runs
+    without it.
     """
 
     omega: float

@@ -65,29 +65,23 @@ class ImperfectionConfig:
     Each sample draws an atom position in the Gaussian cloud (rms
     radius `cloud_sigma`); the beam profile (waist `beam_waist`) then
     fixes its relative intensity and the beam divergence (half-angle
-    `beam_divergence`) its polarization ellipticity.
-    `intensity_rms_fraction` and `stokes_s3` act only as switches for
-    these two effects: a positive value turns one on, and its size is
-    not read.
+    `beam_divergence`) its polarization ellipticity.  A point cloud,
+    `cloud_sigma` = 0 (the default), puts every sample on the beam axis
+    with unit intensity and no ellipticity.
     """
 
-    intensity_rms_fraction: float = 0.0
-    stokes_s3: float = 0.0
     field_axis_components: tuple = None
     initial_leak_fraction: float = 0.0
     pulse_rise_time: float = 0.0
     scattering_probability: float = 0.0
     ensemble_samples: int = 2000
-    cloud_sigma: float = 7.3e-6
+    cloud_sigma: float = 0.0
     beam_waist: float = 50e-6
     beam_divergence: float = 4e-3
 
     def __post_init__(self):
-        for name in ("intensity_rms_fraction", "stokes_s3",
-                     "initial_leak_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.initial_leak_fraction <= 1.0:
+            raise ValueError("initial_leak_fraction must lie in [0, 1]")
         # certain scattering leaves no no-jump survival to calibrate on
         if not 0.0 <= self.scattering_probability < 1.0:
             raise ValueError("scattering_probability must lie in [0, 1)")
@@ -95,7 +89,9 @@ class ImperfectionConfig:
             raise ValueError("pulse rise time must be non-negative")
         if self.ensemble_samples < 1:
             raise ValueError("need at least one ensemble sample")
-        for name in ("cloud_sigma", "beam_waist", "beam_divergence"):
+        if self.cloud_sigma < 0:
+            raise ValueError("cloud_sigma must be non-negative")
+        for name in ("beam_waist", "beam_divergence"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         axis = self.field_axis_components
@@ -124,17 +120,13 @@ def _imperfection_draws(imp, seed):
     n = imp.ensemble_samples
     f = np.ones(n)
     eps = np.zeros(n)
-    use_f = imp.intensity_rms_fraction > 0
-    use_eps = imp.stokes_s3 > 0
-    if not (use_f or use_eps):
+    if imp.cloud_sigma == 0:
         return f, eps
     sigma = imp.cloud_sigma / math.sqrt(2.0)
     for i in range(n):
         x, z = substream(seed, 0, i).normal(0.0, sigma, 2)
-        if use_f:
-            f[i] = math.exp(-2.0 * (x * x + z * z) / imp.beam_waist**2)
-        if use_eps:
-            eps[i] = imp.beam_divergence * x / imp.beam_waist
+        f[i] = math.exp(-2.0 * (x * x + z * z) / imp.beam_waist**2)
+        eps[i] = imp.beam_divergence * x / imp.beam_waist
     return f, eps
 
 

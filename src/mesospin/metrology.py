@@ -78,16 +78,10 @@ class PhaseScan:
         return self.distributions[0].atom_total
 
 
-def equatorial_phase_scan(state, phis, *, atom_total=None, seed=None):
-    """Equatorial scan of a state, optionally with multinomial sampling.
-
-    With `atom_total` set, the scan is drawn by `sample_scan`.
-    """
-    scan = PhaseScan(phis=np.asarray(phis, float),
+def equatorial_phase_scan(state, phis):
+    """Exact equatorial scan of a state; `sample_scan` draws atoms from it."""
+    return PhaseScan(phis=np.asarray(phis, float),
                      distributions=equatorial_scan(state, phis))
-    if atom_total is None:
-        return scan
-    return sample_scan(scan, atom_total, seed)
 
 
 def sample_scan(scan, atom_total, seed):
@@ -180,11 +174,12 @@ def hellinger_window(j):
     return 0.3 / (2 * j)
 
 
-def gain_from_hellinger(scan, phi0, *, varz_bound=None):
-    """Gain from the small-angle slope of the Hellinger distance at phi0.
+def gain_from_hellinger(scan, *, varz_bound=None):
+    """Gain from the small-angle slope of the Hellinger distance.
 
-    Fits d_H = s * |phi - phi0| through the origin within the window
-    |phi - phi0| <= 0.3/(2j) and normalizes by the coherent-state slope
+    The reference is the scan's first angle phi0.  Fits
+    d_H = s * (phi - phi0) through the origin within the window
+    phi - phi0 <= 0.3/(2j) and normalizes by the coherent-state slope
     sqrt(j/4), so G = s^2/(j/4).  For sampled scans (provenance
     "sampled") the leading multinomial bias (2j)/(8N) is subtracted from
     d_H^2 before fitting.
@@ -192,13 +187,12 @@ def gain_from_hellinger(scan, phi0, *, varz_bound=None):
     j = scan.j
     window = hellinger_window(j)
     bias_correction = scan.provenance == "sampled"
-    i0 = int(np.argmin(np.abs(scan.phis - phi0)))
-    ref = scan.distributions[i0]
+    ref = scan.distributions[0]
     dx, dh = [], []
-    for i, d in enumerate(scan.distributions):
-        sep = abs(scan.phis[i] - scan.phis[i0])
-        if i == i0 or sep > window:
-            continue
+    for phi, d in zip(scan.phis[1:], scan.distributions[1:]):
+        sep = phi - scan.phis[0]
+        if sep > window:
+            break
         d2 = hellinger_distance(d, ref) ** 2
         if bias_correction:
             if scan.atom_total is None:

@@ -24,7 +24,6 @@ diagonal weights the projection distribution along u.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -335,9 +334,17 @@ def _hermitian(x, d):
     return h
 
 
-@lru_cache(maxsize=4)
-def _design(j, settings):
-    """Design matrix of one tuple of measurement settings, read-only and cached.
+class _Design(NamedTuple):
+    """Design matrix of one tuple of settings and the spectrum of D^T D."""
+
+    matrix: np.ndarray       # `_design_matrix` of the settings
+    range_basis: np.ndarray  # orthonormal eigenvectors of the nonzero eigenvalues
+    lowest: float            # smallest nonzero eigenvalue
+    highest: float           # largest eigenvalue
+
+
+def _design_matrix(j, settings):
+    """Design matrix of one tuple of measurement settings.
 
     Row (s, m) holds the coordinates of the outcome projector
     |b_sm><b_sm| minus 1/d, so predictions = matrix @ _coordinates(rho)
@@ -349,38 +356,20 @@ def _design(j, settings):
     n_settings, d, _ = kets.shape
     projectors = kets[:, :, :, None] * kets[:, :, None, :].conj()
     projectors -= np.eye(d) / d
-    design = _coordinates(projectors).reshape(n_settings * d, d * d)
-    design.setflags(write=False)
-    return design
+    return _coordinates(projectors).reshape(n_settings * d, d * d)
 
 
-class _Spectrum(NamedTuple):
-    """Eigendecomposition of one design's Gram matrix D^T D."""
-
-    range_basis: np.ndarray  # orthonormal eigenvectors of the nonzero eigenvalues
-    lowest: float            # smallest nonzero eigenvalue
-    highest: float           # largest eigenvalue
-
-
-_SPECTRA = {}
-
-
-def _spectrum(design):
-    """The `_Spectrum` of a design matrix, computed once per matrix.
-
-    Entries are keyed by the matrix's identity, which is safe because
-    designs are read-only, and leave when their matrix is collected.
-    """
-    key = id(design)
-    if key not in _SPECTRA:
-        values, vectors = np.linalg.eigh(design.T @ design)
-        # unobserved directions leave eigenvalues at the Gram's rounding floor
-        observed = values > values[-1] * design.shape[1] * np.finfo(float).eps
-        basis = vectors[:, observed]
-        basis.setflags(write=False)
-        _SPECTRA[key] = _Spectrum(basis, float(values[observed][0]), float(values[-1]))
-        weakref.finalize(design, _SPECTRA.pop, key)
-    return _SPECTRA[key]
+@lru_cache(maxsize=4)
+def _design(j, settings):
+    """The read-only `_Design` of one tuple of settings, computed once."""
+    matrix = _design_matrix(j, settings)
+    matrix.setflags(write=False)
+    values, vectors = np.linalg.eigh(matrix.T @ matrix)
+    # unobserved directions leave eigenvalues at the Gram's rounding floor
+    observed = values > values[-1] * matrix.shape[1] * np.finfo(float).eps
+    basis = vectors[:, observed]
+    basis.setflags(write=False)
+    return _Design(matrix, basis, float(values[observed][0]), float(values[-1]))
 
 
 def _project(rho):
@@ -394,18 +383,20 @@ def _project(rho):
 
 
 def _fit(design, observations, weights):
-    """FISTA with monotone restarts over the density matrices, from 1/d."""
-    d = math.isqrt(design.shape[1])
-    spectrum = _spectrum(design)
-    basis = spectrum.range_basis
+    """FISTA with monotone restarts over the density matrices, from 1/d.
+
+    `design` is the `_Design` of the observations' settings.
+    """
+    matrix, basis = design.matrix, design.range_basis
+    d = math.isqrt(matrix.shape[1])
     if weights is None:
         w = np.ones(observations.size)
-        lowest, highest = spectrum.lowest, spectrum.highest
+        lowest, highest = design.lowest, design.highest
     else:
         w = np.ravel(weights)
         # D^T W D vanishes on the null space of D, so its block on the
         # range holds every nonzero eigenvalue
-        scaled = (np.sqrt(w)[:, None] * design) @ basis
+        scaled = (np.sqrt(w)[:, None] * matrix) @ basis
         lowest, highest = np.linalg.eigvalsh(scaled.T @ scaled)[[0, -1]]
     # F's Hessian is D^T W D on the range and _MU on the null space, so F
     # is m-strongly convex and projected steps of 1/L never raise it
@@ -417,11 +408,11 @@ def _fit(design, observations, weights):
 
     def evaluate(rho):
         x = _coordinates(rho)
-        r = design @ x - target
+        r = matrix @ x - target
         unobserved = x - center
         unobserved -= basis @ (basis.T @ unobserved)
         return (0.5 * float(w @ (r * r)) + 0.5 * _MU * float(unobserved @ unobserved),
-                _hermitian(design.T @ (w * r) + _MU * unobserved, d))
+                _hermitian(matrix.T @ (w * r) + _MU * unobserved, d))
 
     def duality_gap(rho, grad):
         # F is convex, so F(rho) - min F <= <grad, rho> - min_sigma <grad, sigma>,

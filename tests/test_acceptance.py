@@ -108,8 +108,8 @@ def test_criterion_05_hellinger_metrology():
     phis = np.linspace(0.0, 3.0 * window, 25)
     kitten = kitten_state(J)
     coherent = basis_state(J, J, axis=X_AXIS)
-    report_k = gain_from_hellinger(equatorial_phase_scan(kitten, phis), 0.0)
-    report_c = gain_from_hellinger(equatorial_phase_scan(coherent, phis), 0.0)
+    report_k = gain_from_hellinger(equatorial_phase_scan(kitten, phis))
+    report_c = gain_from_hellinger(equatorial_phase_scan(coherent, phis))
 
     # gains are squared slopes normalized by the coherent slope sqrt(j/4)
     assert report_k.gain / report_c.gain == pytest.approx(16.0, rel=0.02)

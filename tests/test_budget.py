@@ -14,6 +14,7 @@ from mesospin import (
     kitten_state,
     measurement_scheme_gains,
 )
+from mesospin.ensemble import _imperfection_draws
 
 OMEGA = 2 * math.pi * 1.98e6
 DETUNING = -2 * math.pi * 1.5e9
@@ -39,7 +40,7 @@ def ideal_budget():
 SMALL_CFG = CouplingConfig(omega=OMEGA, omega_larmor=2 * math.pi * 31.7e3,
                            detuning=DETUNING, include_jx4=True)
 SMALL_IMP = ImperfectionConfig(
-    intensity_rms_fraction=0.06, stokes_s3=1e-3,
+    cloud_sigma=7.3e-6,
     field_axis_components=(0.09, -0.11, 0.98), initial_leak_fraction=0.03,
     pulse_rise_time=50e-9, scattering_probability=0.007, ensemble_samples=40,
 )
@@ -96,6 +97,16 @@ def test_combined_state_is_the_ensemble_at_the_combined_pulse_time(small_budget)
     assert np.array_equal(small_budget.combined_state, rho)
 
 
+def test_one_draw_of_the_cloud_serves_the_budget(ideal_budget, small_budget):
+    f, eps = _imperfection_draws(SMALL_IMP, 0)
+    assert np.array_equal(small_budget.intensities, f)
+    assert np.array_equal(small_budget.ellipticities, eps)
+    assert np.std(f) > 0 and np.std(eps) > 0
+    # a point cloud puts every sample on the beam axis
+    assert np.array_equal(ideal_budget.intensities, [1.0])
+    assert np.array_equal(ideal_budget.ellipticities, [0.0])
+
+
 def test_scheme_gains_on_ideal_superposition():
     sg = measurement_scheme_gains(kitten_state(8.0))
     assert sg.bound == pytest.approx(16.0, abs=1e-9)
@@ -107,7 +118,7 @@ def test_scheme_gains_on_ideal_superposition():
 
 
 def test_scheme_gains_respect_bound_on_mixed_state():
-    imp = ImperfectionConfig(intensity_rms_fraction=0.06, ensemble_samples=100)
+    imp = ImperfectionConfig(cloud_sigma=7.3e-6, ensemble_samples=100)
     cfg = CouplingConfig(omega=OMEGA, detuning=DETUNING)
     rho = ensemble_evolve(basis_state(8, -8), cfg, imp, NOMINAL_T, seed=0)
     sg = measurement_scheme_gains(rho)

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ import mesospin
 from mesospin import kitten_state, pulse_steps
 from mesospin.cli import main
 from mesospin.config import config_to_json, default_config
+from mesospin.ensemble import _imperfection_draws
 from mesospin.tomography import (
     dataset_to_json,
     default_equatorial_angles,
@@ -162,6 +164,18 @@ def test_evolve_summaries(config_path, tmp_path):
     lines = (tmp_path / "fig2.csv").read_text().splitlines()
     assert len(lines) == 162
     assert lines[0].startswith("omega_t (rad),pi_m_-8 (1)")
+
+
+def test_budget_summary_reports_the_realized_cloud(config_path, tmp_path):
+    assert _run("budget", config_path, tmp_path, "--samples", "8") == 0
+    summary = json.loads((tmp_path / "tableS1.summary.json").read_text())["summary"]
+    imp = replace(default_config().imperfections, ensemble_samples=8)
+    f, eps = _imperfection_draws(imp, 3)
+    assert summary["intensity_mean"] == np.mean(f)
+    assert summary["intensity_rms"] == np.std(f) / np.mean(f)
+    assert summary["ellipticity_rms"] == math.sqrt(np.mean(eps**2))
+    assert 0.0 < summary["intensity_rms"] < 0.1
+    assert 0.0 < summary["ellipticity_rms"] < 1e-3
 
 
 def test_config_errors_exit_2(config_path, tmp_path, capsys):

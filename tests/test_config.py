@@ -6,7 +6,6 @@ import math
 import pytest
 
 from mesospin import (
-    NoiseModel,
     apply_overrides,
     canonical_json,
     config_from_json,
@@ -65,7 +64,7 @@ def test_unknown_and_missing_keys_are_rejected():
 def test_noise_section_needs_exactly_one_scale():
     doc = config_to_json(default_config())
     both = json.loads(canonical_json(doc))
-    both["noise"]["coherence_time_s"] = 740e-6
+    both["noise"]["diffusion_t2_s"] = 740e-6
     with pytest.raises(ValueError):
         config_from_json(both)
     neither = json.loads(canonical_json(doc))
@@ -76,21 +75,10 @@ def test_noise_section_needs_exactly_one_scale():
     mismatch["noise"]["kind"] = "markovian"
     with pytest.raises(ValueError):
         config_from_json(mismatch)
-    # a timescale fits either kind, so an unknown kind must not pass
     pink = json.loads(canonical_json(doc))
-    del pink["noise"]["rms_field_t"]
-    pink["noise"].update(kind="pink", coherence_time_s=740e-6)
+    pink["noise"]["kind"] = "pink"
     with pytest.raises(ValueError):
         config_from_json(pink)
-
-
-def test_noise_from_coherence_time():
-    doc = config_to_json(default_config())
-    doc = json.loads(canonical_json(doc))
-    del doc["noise"]["rms_field_t"]
-    doc["noise"]["coherence_time_s"] = 740e-6
-    cfg = config_from_json(doc)
-    assert cfg.noise == NoiseModel.static_from_time(740e-6)
 
 
 def test_load_config_and_overrides(tmp_path):
@@ -105,8 +93,11 @@ def test_load_config_and_overrides(tmp_path):
     assert changed.out_dir == "out"
     assert changed.out_format == "json"
     assert changed.imperfections.ensemble_samples == 12
-    # hash covers the physics but also seed and output routing
+    # the hash covers the physics, the seed and the sample count, but
+    # not the output routing
     assert config_hash(changed) != config_hash(cfg)
+    rerouted = apply_overrides(loaded, out_dir="out", out_format="json")
+    assert config_hash(rerouted) == config_hash(cfg)
     assert apply_overrides(loaded) == loaded
 
 
@@ -133,10 +124,6 @@ def test_run_config_validation():
     bad_dir["output"]["directory"] = 5
     with pytest.raises(ValueError):
         config_from_json(bad_dir)
-    quoted = json.loads(canonical_json(doc))
-    quoted["coupling"]["include_jx4"] = "false"
-    with pytest.raises(ValueError):
-        config_from_json(quoted)
     # integer settings are not truncated: 2.7 samples is no count
     for value in (90000.9, "90000", True):
         with pytest.raises(ValueError):
@@ -157,8 +144,7 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         config_from_json(mutate(j="8"))
     quoted_time = json.loads(canonical_json(doc))
-    quoted_time["noise"] = {"kind": "static-gaussian",
-                            "coherence_time_s": "7.4e-4"}
+    quoted_time["noise"] = {"kind": "markovian", "diffusion_t2_s": "7.4e-4"}
     with pytest.raises(ValueError):
         config_from_json(quoted_time)
     # every command times its pulse by omega
@@ -169,7 +155,7 @@ def test_run_config_validation():
 
 
 def _retired_documents():
-    """Documents carrying a setting that schema version 2 or 3 removed."""
+    """Documents carrying a setting that schema version 2, 3 or 4 removed."""
     doc = config_to_json(default_config())
     light = json.loads(canonical_json(doc))
     light["light"] = {"linewidth_per_s": 0.85e6,
@@ -186,11 +172,31 @@ def _retired_documents():
     # a complete version-2 document has it and its own version number
     v2 = json.loads(canonical_json(sampling))
     v2["schema_version"] = 2
+    # version 4 removed four keys that no command read
+    removed = {
+        "intensity_rms_fraction": ("imperfections", 0.06),
+        "stokes_s3": ("imperfections", 1e-3),
+        "include_jx4": ("coupling", False),
+        "coherence_time_s": ("noise", 740e-6),
+    }
+    # a complete version-3 document has all four and its own version number
+    v3 = json.loads(canonical_json(doc))
+    v3["schema_version"] = 3
+    singles = {}
+    for key, (section, value) in removed.items():
+        v3[section][key] = value
+        singles[key] = json.loads(canonical_json(doc))
+        singles[key][section][key] = value
+    del v3["noise"]["rms_field_t"]
+    # the 1/e time stood in place of the noise scale
+    del singles["coherence_time_s"]["noise"]["rms_field_t"]
     return {"v1": v1, "light": light, "g_factor": g_factor,
-            "v2": v2, "sampling": sampling}
+            "v2": v2, "sampling": sampling, "v3": v3, **singles}
 
 
-@pytest.mark.parametrize("name", ["v1", "light", "g_factor", "v2", "sampling"])
+@pytest.mark.parametrize("name", ["v1", "light", "g_factor", "v2", "sampling",
+                                  "v3", "intensity_rms_fraction", "stokes_s3",
+                                  "include_jx4", "coherence_time_s"])
 def test_retired_settings_are_rejected(name, tmp_path, capsys):
     doc = _retired_documents()[name]
     with pytest.raises(ValueError):
@@ -200,3 +206,23 @@ def test_retired_settings_are_rejected(name, tmp_path, capsys):
     assert main(["parity", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_one_run_in_two_places_carries_one_hash(tmp_path):
+    # the output section is routing, not physics: two directories and
+    # both formats share the configuration hash, so the two directories
+    # of one format hold the same bytes
+    hashes = set()
+    for fmt in ("csv", "json"):
+        trees = []
+        for place in ("a", "b"):
+            out = tmp_path / fmt / place
+            assert main(["parity", "--seed", "5", "--samples", "2",
+                         "--format", fmt, "--out", str(out)]) == 0
+            trees.append({path.name: path.read_bytes() for path in out.iterdir()})
+            manifest = json.loads(trees[-1]["manifest.json"])
+            hashes |= {entry["metadata"]["config_sha256"]
+                       for entry in manifest["artifacts"].values()}
+        assert trees[0] == trees[1]
+    run = apply_overrides(default_config(), seed=5, samples=2)
+    assert hashes == {config_hash(run)}

@@ -102,7 +102,9 @@ def _light_params(eps=0.0):
 
 def test_imperfection_config_validation():
     with pytest.raises(ValueError):
-        ImperfectionConfig(intensity_rms_fraction=1.5)
+        ImperfectionConfig(cloud_sigma=-1e-6)
+    with pytest.raises(ValueError):
+        ImperfectionConfig(initial_leak_fraction=1.5)
     with pytest.raises(ValueError):
         ImperfectionConfig(pulse_rise_time=-1e-9)
     with pytest.raises(ValueError):
@@ -116,6 +118,18 @@ def test_imperfection_config_validation():
     assert np.linalg.norm(imp.field_axis) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_point_cloud_draws_nothing(monkeypatch):
+    # a cloud of zero width puts every sample on the beam axis without
+    # seeding a generator
+    def no_draws(*args):
+        raise AssertionError("a point cloud must not draw positions")
+
+    monkeypatch.setattr(ensemble, "substream", no_draws)
+    f, eps = ensemble._imperfection_draws(ImperfectionConfig(ensemble_samples=7), 3)
+    assert np.array_equal(f, np.ones(7))
+    assert np.array_equal(eps, np.zeros(7))
+
+
 def test_no_imperfections_reproduces_unitary_kitten():
     imp = ImperfectionConfig(ensemble_samples=1)
     rho = ensemble_evolve(DOWN, CFG, imp, T_KITTEN, seed=0)
@@ -124,7 +138,7 @@ def test_no_imperfections_reproduces_unitary_kitten():
 
 
 def test_intensity_spread_degrades_revival():
-    imp = ImperfectionConfig(intensity_rms_fraction=0.06, ensemble_samples=200)
+    imp = ImperfectionConfig(cloud_sigma=7.3e-6, ensemble_samples=200)
     rho = ensemble_evolve(DOWN, CFG, imp, math.pi / OMEGA, seed=0)
     mz = magnetization(projection_probs(rho))
     assert 6.3 < mz < 7.5
@@ -133,7 +147,7 @@ def test_intensity_spread_degrades_revival():
 
 
 def test_ensemble_is_deterministic_in_the_seed():
-    imp = ImperfectionConfig(intensity_rms_fraction=0.06, ensemble_samples=50)
+    imp = ImperfectionConfig(cloud_sigma=7.3e-6, ensemble_samples=50)
     a = ensemble_evolve(DOWN, CFG, imp, T_KITTEN, seed=3)
     b = ensemble_evolve(DOWN, CFG, imp, T_KITTEN, seed=3)
     c = ensemble_evolve(DOWN, CFG, imp, T_KITTEN, seed=4)
@@ -183,7 +197,7 @@ def test_pulse_duration_preserves_integrated_area():
 def test_full_imperfection_set_revival_window():
     cfg = CouplingConfig(omega=OMEGA, omega_larmor=2 * math.pi * 31.7e3, detuning=DETUNING)
     imp = ImperfectionConfig(
-        intensity_rms_fraction=0.06, stokes_s3=1e-3,
+        cloud_sigma=7.3e-6,
         field_axis_components=(0.09, -0.11, 0.98), initial_leak_fraction=0.03,
         pulse_rise_time=50e-9, scattering_probability=0.007, ensemble_samples=120,
     )
@@ -312,7 +326,7 @@ def test_calibrated_rate_ignores_samples_and_seed(monkeypatch):
     rate = _rate(DOWN, coupling, imp, T_KITTEN)
     assert rate > 0
     for other in (replace(imp, ensemble_samples=1),
-                  replace(imp, intensity_rms_fraction=0.0, stokes_s3=0.0),
+                  replace(imp, cloud_sigma=0.0),
                   replace(imp, cloud_sigma=2e-5, initial_leak_fraction=0.0)):
         assert _rate(DOWN, coupling, other, T_KITTEN) == rate
     # the seed enters only the samples, never the calibration

@@ -122,7 +122,7 @@ def _objective(rho, data):
     """F of `fit_density_matrix`: least squares plus the tie-break toward 1/d."""
     r = forward_model(rho, data.settings) - data.observations
     d = len(rho)
-    null = _null_basis(_design(data.j, data.settings))
+    null = _null_basis(_design(data.j, data.settings).matrix)
     unobserved = null @ _coordinates(rho - np.eye(d) / d)
     return 0.5 * float(np.sum(r * r)) + 0.5 * _MU * float(unobserved @ unobserved)
 
@@ -193,7 +193,7 @@ def test_estimate_does_not_depend_on_the_start():
     # estimate FISTA finds from 1/d
     data = synthesize_dataset(_imperfect_kitten(), atom_total=2000, seed=3)
     fit = fit_density_matrix(data)
-    design = _design(data.j, data.settings)
+    design = _design(data.j, data.settings).matrix
     null = _null_basis(design)
     target = data.observations.ravel() - 1.0 / 17
     center = _coordinates(np.eye(17) / 17)
@@ -216,8 +216,10 @@ def test_estimate_does_not_depend_on_the_start():
 def test_design_is_shared_per_settings_and_read_only():
     data = synthesize_dataset(KITTEN, atom_total=2000, seed=4)
     design = mesospin.tomography._design(data.j, data.settings)
-    assert not design.flags.writeable
-    # other data on the same settings reuse the matrix, corrected angles do not
+    assert not design.matrix.flags.writeable
+    assert not design.range_basis.flags.writeable
+    # other data on the same settings reuse the matrix and its spectrum,
+    # corrected angles do not
     assert mesospin.tomography._design(8.0, synthesize_dataset(KITTEN).settings) is design
     shifted = replace(data, phase_corrections=np.full(33, 0.01))
     assert mesospin.tomography._design(8.0, shifted.settings) is not design
