@@ -111,14 +111,11 @@ from .metrology import (
     gain_from_hellinger,
     gain_from_magnetization,
     gain_from_parity,
-    hellinger_distance,
+    hellinger_curve,
     hellinger_window,
-    magnetization_curve,
-    parity_curve,
     parity_gain_from_contrast,
     sample_scan,
     variance_bound,
-    variance_curve,
 )
 from .rng import RNG_ALGORITHM, substream
 from .tomography import (

@@ -193,7 +193,7 @@ class SchemeGains:
 def measurement_scheme_gains(state):
     """Evaluate parity, Hellinger, and magnetization metrology on a state.
 
-    The first two schemes read the equatorial projection distributions
+    The first two schemes read the equatorial projection probabilities
     directly; the other two apply a second, ideal twisting pulse
     exp(-i (pi/2) Jx^2) and read the z distribution.  Parity and
     magnetization are fitted on 65 angles over one parity period pi/j,
@@ -216,11 +216,11 @@ def measurement_scheme_gains(state):
     hellinger_report = gain_from_hellinger(scan_w, varz_bound=varz)
 
     pulse = expi_hermitian(ops.jx @ ops.jx, math.pi / 2.0)
-    ramsey = PhaseScan(phis=phis, distributions=ramsey_scan(state, phis, pulse))
+    ramsey = PhaseScan(j=j, phis=phis, probabilities=ramsey_scan(state, phis, pulse))
     magnetization_report = gain_from_magnetization(ramsey, varz_bound=varz)
 
-    ramsey_w = PhaseScan(phis=phis_w,
-                         distributions=ramsey_scan(state, phis_w, pulse))
+    ramsey_w = PhaseScan(j=j, phis=phis_w,
+                         probabilities=ramsey_scan(state, phis_w, pulse))
     pulse_hellinger_report = gain_from_hellinger(ramsey_w, varz_bound=varz)
 
     return SchemeGains(

@@ -48,6 +48,7 @@ from .ensemble import (
 from .measurement import (
     DimensionError,
     magnetization,
+    parity,
     projection_probs,
     ramsey_scan,
     variance,
@@ -58,9 +59,8 @@ from .metrology import (
     gain_from_hellinger,
     gain_from_magnetization,
     gain_from_parity,
-    hellinger_distance,
+    hellinger_curve,
     hellinger_window,
-    parity_curve,
     sample_scan,
 )
 from .rng import RNG_ALGORITHM
@@ -93,19 +93,46 @@ def _metadata(cfg):
     }
 
 
-def _cell_text(value):
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+def _bool_text(value):
+    return "true" if value else "false"
+
+
+def _plain_text(value):
     text = str(value)
     if "," in text or "\n" in text:
         raise ValueError(f"cell value {text!r} would break the CSV layout")
     return text
+
+
+def _text_format(kind):
+    """CSV formatter of the cells of one type: empty for None, true/false
+    for booleans, the shortest round-trip text for numbers."""
+    if kind is float:
+        return repr
+    if kind is int:
+        return str
+    if kind is type(None):
+        return lambda _: ""
+    if issubclass(kind, (bool, np.bool_)):
+        return _bool_text
+    if issubclass(kind, (int, np.integer)):
+        return lambda value: str(int(value))
+    if issubclass(kind, (float, np.floating)):
+        return lambda value: repr(float(value))
+    return _plain_text
+
+
+def _column_text(cells):
+    """CSV texts of one column's cells; one formatter serves a column of
+    one type."""
+    kinds = set(map(type, cells))
+    if len(kinds) == 1:
+        return list(map(_text_format(kinds.pop()), cells))
+    return [_text_format(type(c))(c) for c in cells]
+
+
+# cell types that JSON writes as they are
+_NATIVE = frozenset((float, int, str))
 
 
 def _cell_json(value):
@@ -128,7 +155,8 @@ def _write_text(path, text):
 
 
 class _InputError(Exception):
-    """A malformed auxiliary input file: a configuration error."""
+    """A malformed auxiliary input file, or a configuration the command
+    cannot run: a configuration error."""
 
 
 def _read_manifest(out_dir):
@@ -176,15 +204,15 @@ def _write_table(out_dir, fname, meta, columns, records, summary=None):
             "artifact": fname[:-len(".json")],
             "metadata": meta,
             "columns": [{"name": n, "unit": u} for n, u in columns],
-            "records": [[_cell_json(c) if not isinstance(c, str) else c
-                         for c in r] for r in records],
+            "records": [[c if type(c) in _NATIVE else _cell_json(c) for c in r]
+                        for r in records],
         }
         if summary is not None:
             doc["summary"] = _summary_json(summary)
         return _write_text(os.path.join(out_dir, fname), canonical_json(doc))
     header = ",".join(f"{n} ({u})" if u else n for n, u in columns)
     lines = [header]
-    lines.extend(",".join(_cell_text(c) for c in r) for r in records)
+    lines.extend(map(",".join, zip(*map(_column_text, zip(*records)))))
     return _write_text(os.path.join(out_dir, fname), "\n".join(lines) + "\n")
 
 
@@ -313,14 +341,14 @@ def _imperfect_state(cfg):
 
 
 def _write_scan_gain(cfg, name, method, scan, scan_sampled, report, summary):
-    """Exact and sampled scan distributions as `name`, plus the fit's gain,
+    """Exact and sampled scan probabilities as `name`, plus the fit's gain,
     merged into the fig3c method table as the `method` row."""
-    records = []
-    for i, phi in enumerate(scan.phis):
-        exact = scan.distributions[i].probabilities
-        sampled = scan_sampled.distributions[i].probabilities
-        for k, m in enumerate(range(-int(cfg.j), int(cfg.j) + 1)):
-            records.append([float(phi), m, float(exact[k]), float(sampled[k])])
+    ms = range(-int(cfg.j), int(cfg.j) + 1)
+    records = [[phi, m, p_exact, p_sampled]
+               for phi, exact, sampled in zip(scan.phis.tolist(),
+                                              scan.probabilities.tolist(),
+                                              scan_sampled.probabilities.tolist())
+               for m, p_exact, p_sampled in zip(ms, exact, sampled)]
     summary = {**summary, "period_rad": report.fit.period, "gain": report.gain,
                "gain_uncertainty": report.uncertainty, "bound": report.bound,
                "pulse_steps": pulse_steps(cfg.imperfections,
@@ -347,7 +375,7 @@ def cmd_parity(cfg):
     report = gain_from_parity(scan_sampled, varz_bound=varz)
     _write_scan_gain(cfg, "fig3a", "parity", scan, scan_sampled, report,
                      {"contrast": report.fit.amplitude,
-                      "parity_first_point": float(parity_curve(scan)[0])})
+                      "parity_first_point": float(parity(scan)[0])})
 
 
 def cmd_ramsey(cfg):
@@ -356,7 +384,7 @@ def cmd_ramsey(cfg):
     ops = make_operators(cfg.j)
     pulse = expi_hermitian(ops.jx @ ops.jx, math.pi / 2.0)
     phis = np.linspace(0.0, math.pi / cfg.j, 65)
-    scan = PhaseScan(phis=phis, distributions=ramsey_scan(rho, phis, pulse))
+    scan = PhaseScan(j=cfg.j, phis=phis, probabilities=ramsey_scan(rho, phis, pulse))
     scan_sampled = sample_scan(scan, cfg.atom_total, cfg.seed)
     varz = variance(projection_probs(rho))
     report = gain_from_magnetization(scan_sampled, varz_bound=varz)
@@ -377,14 +405,8 @@ def cmd_hellinger(cfg):
     scan_k = equatorial_phase_scan(kitten, phis)
     scan_i = sample_scan(equatorial_phase_scan(rho, phis), cfg.atom_total,
                          cfg.seed)
-    records = []
-    for i, phi in enumerate(phis):
-        records.append([
-            float(phi),
-            hellinger_distance(scan_c.distributions[0], scan_c.distributions[i]),
-            hellinger_distance(scan_k.distributions[0], scan_k.distributions[i]),
-            hellinger_distance(scan_i.distributions[0], scan_i.distributions[i]),
-        ])
+    curves = (hellinger_curve(s).tolist() for s in (scan_c, scan_k, scan_i))
+    records = [list(row) for row in zip(phis.tolist(), *curves)]
 
     report_k = gain_from_hellinger(scan_k)
     varz = variance(projection_probs(rho))
@@ -507,7 +529,10 @@ def cmd_tomo(cfg, dataset_path=None):
 
 def cmd_budget(cfg):
     """Imperfection budget of the metrological gain."""
-    coupling = replace(cfg.coupling, include_jx4=True)
+    try:
+        coupling = replace(cfg.coupling, include_jx4=True)
+    except ValueError as exc:  # the quartic row needs a nonzero detuning
+        raise _InputError(f"budget: {exc}") from exc
     budget = gain_budget(coupling, cfg.imperfections, j=cfg.j, seed=cfg.seed)
     f, eps = budget.intensities, budget.ellipticities
     records = [

@@ -40,7 +40,8 @@ __all__ = [
 
 
 class DimensionError(ValueError):
-    """A probability vector whose length is not the 2j+1 outcomes of its j."""
+    """Probabilities whose shape is not the 2j+1 outcomes of their j (per
+    angle, for a scan)."""
 
 
 @dataclass(frozen=True)
@@ -58,25 +59,44 @@ class ProjectionDistribution:
     atom_total: int = None
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        outcomes = 2 * self.j + 1
-        if p.shape != (outcomes,):
-            raise DimensionError(f"{p.size} projection probabilities for "
-                                 f"j = {self.j:g}, which has 2j+1 = "
-                                 f"{outcomes:g} outcomes")
-        if not np.isfinite(p).all():  # NaN passes the comparisons below
-            raise ValueError("non-finite projection probability")
-        if p.min() < -1e-10:
-            raise ValueError("negative projection probability")
-        if abs(p.sum() - 1.0) > 1e-10:
-            raise ValueError("projection probabilities must sum to 1")
-        p = np.clip(p, 0.0, None)
-        p.setflags(write=False)
+        p, c = _validated(self.j, self.probabilities, self.counts, self.atom_total)
         object.__setattr__(self, "probabilities", p)
-        if self.counts is not None:
-            c = np.asarray(self.counts)
-            if self.atom_total is None or c.sum() != self.atom_total:
-                raise ValueError("counts must sum to atom_total")
+        object.__setattr__(self, "counts", c)
+
+
+def _validated(j, probabilities, counts, atom_total, angles=None):
+    """Checked, read-only probabilities and counts of one distribution, or
+    of `angles` distributions stacked as rows.
+
+    The probabilities must have 2j+1 outcomes (else DimensionError), be
+    finite, not below -1e-10 and sum to 1 within 1e-10 in every row;
+    they are returned clipped at 0.  Counts, when given, must sum to
+    atom_total in every row (atom_total may hold one total per row).
+    """
+    p = np.asarray(probabilities, dtype=float)
+    outcomes = 2 * j + 1
+    if angles is None and p.shape != (outcomes,):
+        raise DimensionError(f"{p.size} projection probabilities for "
+                             f"j = {j:g}, which has 2j+1 = {outcomes:g} outcomes")
+    if angles is not None and p.shape != (angles, outcomes):
+        raise DimensionError(f"projection probabilities of shape {p.shape} for "
+                             f"{angles} angles and j = {j:g}, which has "
+                             f"2j+1 = {outcomes:g} outcomes")
+    if not np.isfinite(p).all():  # NaN passes the comparisons below
+        raise ValueError("non-finite projection probability")
+    if np.any(p < -1e-10):
+        raise ValueError("negative projection probability")
+    if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-10):
+        raise ValueError("projection probabilities must sum to 1")
+    p = np.clip(p, 0.0, None)
+    p.setflags(write=False)
+    if counts is not None:
+        counts = np.array(counts)
+        if (atom_total is None or counts.shape != p.shape
+                or np.any(counts.sum(axis=-1) != atom_total)):
+            raise ValueError("counts must sum to atom_total")
+        counts.setflags(write=False)
+    return p, counts
 
 
 @lru_cache(maxsize=None)
@@ -107,17 +127,16 @@ def projection_probs(state, axis=Direction(0.0, 0.0)):
         probs = np.abs(basis.conj().T @ state) ** 2
     else:
         probs = np.real(np.einsum("im,ik,km->m", basis.conj(), state, basis))
-    return _distributions(j, [axis], probs[None])[0]
+    return ProjectionDistribution(j=j, axis=axis, probabilities=_normalized(probs))
 
 
-def _distributions(j, axes, probs):
-    """One distribution per axis from rows of probabilities, each row
-    normalized by its sum; raises ValueError for an unnormalized state."""
-    totals = probs.sum(axis=-1)
+def _normalized(probs):
+    """Probabilities divided by their sum along the last axis; raises
+    ValueError for an unnormalized state."""
+    totals = probs.sum(axis=-1, keepdims=True)
     if np.any(np.abs(totals - 1.0) > 1e-9):
         raise ValueError("state is not normalized")
-    return [ProjectionDistribution(j=j, axis=axis, probabilities=p / total)
-            for axis, p, total in zip(axes, probs, totals)]
+    return probs / totals
 
 
 def _diagonal_sums(x):
@@ -153,24 +172,32 @@ def _phase_scan(state, basis, phis):
     return (e @ table).real, ((1j * k * e) @ table).real
 
 
-def parity(dist):
-    """Parity sum((-1)^m Pi_m) of a projection distribution."""
-    m = m_values(dist.j)
+def _parity_signs(j):
+    m = m_values(j)
     if np.any(np.abs(m - np.round(m)) > 1e-9):
         raise ValueError("parity requires integer j")
-    signs = np.where(np.round(m).astype(int) % 2 == 0, 1.0, -1.0)
-    return float(signs @ dist.probabilities)
+    return np.where(np.round(m).astype(int) % 2 == 0, 1.0, -1.0)
+
+
+# The moments take a distribution, or a scan of one distribution per row
+# (`metrology.PhaseScan`), and return one value per row.
+
+
+def parity(dist):
+    """Parity sum((-1)^m Pi_m) of a distribution, or per angle of a scan."""
+    return np.vecdot(dist.probabilities, _parity_signs(dist.j))
 
 
 def magnetization(dist):
-    """Mean projection sum(m Pi_m)."""
-    return float(m_values(dist.j) @ dist.probabilities)
+    """Mean projection sum(m Pi_m), of a distribution or per angle of a scan."""
+    return np.vecdot(dist.probabilities, m_values(dist.j))
 
 
 def variance(dist):
-    """Projection variance sum(m^2 Pi_m) - magnetization^2."""
+    """Projection variance sum(m^2 Pi_m) - magnetization^2, of a
+    distribution or per angle of a scan."""
     m = m_values(dist.j)
-    return float(m**2 @ dist.probabilities - (m @ dist.probabilities) ** 2)
+    return np.vecdot(dist.probabilities, m**2) - np.vecdot(dist.probabilities, m) ** 2
 
 
 def sample_counts(dist, n, seed):
@@ -198,28 +225,29 @@ def equatorial_direction(phi):
 
 
 def equatorial_scan(state, phis):
-    """Projection distributions along a sequence of equatorial azimuths.
+    """Projection probabilities along a sequence of equatorial azimuths.
 
-    Every angle comes from one Fourier table of the state read out in
-    the basis R_y(pi/2) (`_phase_scan`); raises ValueError for an
-    unnormalized state.
+    Row i holds the 2j+1 outcome probabilities along
+    `equatorial_direction(phis[i])`.  Every angle comes from one Fourier
+    table of the state read out in the basis R_y(pi/2) (`_phase_scan`);
+    raises ValueError for an unnormalized state.
     """
     j = spin_of(state)
     probs, _ = _phase_scan(state, _polar_rotation(int(round(2 * j)), math.pi / 2),
                            phis)
-    return _distributions(j, [equatorial_direction(phi) for phi in phis], probs)
+    return _normalized(probs)
 
 
 def ramsey_scan(state, phis, pulse):
     """Two-pulse sequence read out along z, versus interpulse Larmor phase.
 
     For each phase phi the state acquires exp(-i phi Jz), the unitary
-    `pulse` is applied, and the z projection distribution is recorded.
-    Every phase comes from one Fourier table of the state read out in
-    the basis pulse^dagger (`_phase_scan`); a state vector is taken as
-    its density matrix, and an unnormalized state raises ValueError.
-    With a two-component superposition as input and the twisting pulse
-    as `pulse`, the magnetization follows j cos(2j phi).
+    `pulse` is applied, and row i holds the z projection probabilities
+    at phis[i].  Every phase comes from one Fourier table of the state
+    read out in the basis pulse^dagger (`_phase_scan`); a state vector
+    is taken as its density matrix, and an unnormalized state raises
+    ValueError.  With a two-component superposition as input and the
+    twisting pulse as `pulse`, the magnetization follows j cos(2j phi).
     """
     probs, _ = _phase_scan(state, np.asarray(pulse).conj().T, phis)
-    return _distributions(spin_of(state), [Direction(0.0, 0.0)] * len(probs), probs)
+    return _normalized(probs)

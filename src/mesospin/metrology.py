@@ -20,10 +20,10 @@ from .fitting import fit_sinusoid
 from .measurement import (
     _phase_scan,
     _polar_rotation,
+    _validated,
     equatorial_scan,
     magnetization,
     parity,
-    sample_counts,
     variance,
 )
 from .rng import substream
@@ -33,12 +33,9 @@ __all__ = [
     "GainReport",
     "equatorial_phase_scan",
     "sample_scan",
-    "parity_curve",
-    "magnetization_curve",
-    "variance_curve",
     "gain_from_parity",
     "parity_gain_from_contrast",
-    "hellinger_distance",
+    "hellinger_curve",
     "hellinger_window",
     "gain_from_hellinger",
     "gain_from_magnetization",
@@ -51,64 +48,61 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhaseScan:
-    """Projection distributions recorded on an increasing grid of phases."""
+    """Projection probabilities recorded on an increasing grid of phases.
 
+    Row i of `probabilities` holds the 2j+1 outcome probabilities at
+    phis[i].  A sampled scan also holds the `counts` they were drawn as,
+    each row summing to `atom_total` (one total, or one per angle), and
+    its probabilities are the empirical frequencies.  The rows pass the
+    checks of `ProjectionDistribution`, all at once; the arrays are
+    read-only.  `parity`, `magnetization` and `variance` of a scan give
+    one value per angle.
+    """
+
+    j: float
     phis: np.ndarray
-    distributions: tuple
+    probabilities: np.ndarray
+    counts: np.ndarray = None
+    atom_total: int = None
     provenance: str = "exact"
 
     def __post_init__(self):
-        phis = np.asarray(self.phis, dtype=float)
-        if len(phis) != len(self.distributions):
-            raise ValueError("phis and distributions must have equal length")
-        if np.any(np.diff(phis) <= 0):
-            raise ValueError("phis must be strictly increasing")
+        phis = np.array(self.phis, dtype=float)
+        if (phis.ndim != 1 or not np.isfinite(phis).all()
+                or np.any(np.diff(phis) <= 0)):
+            raise ValueError("phis must be a strictly increasing sequence")
         if self.provenance not in ("exact", "sampled"):
             raise ValueError("provenance must be 'exact' or 'sampled'")
+        p, c = _validated(self.j, self.probabilities, self.counts, self.atom_total,
+                          len(phis))
         phis.setflags(write=False)
         object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "distributions", tuple(self.distributions))
-
-    @property
-    def j(self):
-        return self.distributions[0].j
-
-    @property
-    def atom_total(self):
-        return self.distributions[0].atom_total
+        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "counts", c)
 
 
 def equatorial_phase_scan(state, phis):
     """Exact equatorial scan of a state; `sample_scan` draws atoms from it."""
-    return PhaseScan(phis=np.asarray(phis, float),
-                     distributions=equatorial_scan(state, phis))
+    return PhaseScan(j=spin_of(state), phis=phis,
+                     probabilities=equatorial_scan(state, phis))
 
 
 def sample_scan(scan, atom_total, seed):
     """Multinomial draw of atom_total atoms at every angle of a scan.
 
-    Angle i draws from its own deterministic substream(seed, i), so the
-    counts at one angle do not depend on the others.
+    Every angle is drawn, in order, from the one generator
+    substream(seed), so the counts at angle i depend on the seed and on
+    the probabilities at angles 0 ... i: grids that share a leading run
+    of angles share its counts.
     """
     if seed is None:
         raise ValueError("sampling requires a seed")
-    dists = [
-        sample_counts(d, atom_total, substream(seed, i).integers(2**63))
-        for i, d in enumerate(scan.distributions)
-    ]
-    return PhaseScan(phis=scan.phis, distributions=dists, provenance="sampled")
-
-
-def parity_curve(scan):
-    return np.array([parity(d) for d in scan.distributions])
-
-
-def magnetization_curve(scan):
-    return np.array([magnetization(d) for d in scan.distributions])
-
-
-def variance_curve(scan):
-    return np.array([variance(d) for d in scan.distributions])
+    n = int(atom_total)
+    if n < 1:
+        raise ValueError("need at least one atom")
+    counts = substream(seed).multinomial(n, scan.probabilities)
+    return PhaseScan(j=scan.j, phis=scan.phis, probabilities=counts / n,
+                     counts=counts, atom_total=n, provenance="sampled")
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,7 @@ def gain_from_parity(scan, *, varz_bound=None):
     against pi/j.
     """
     j = scan.j
-    y = parity_curve(scan)
+    y = parity(scan)
     fit = fit_sinusoid(scan.phis, y, 2 * j)
     if not fit.converged and fit.amplitude < 1e-6:
         raise RuntimeError("parity curve shows no oscillation to fit")
@@ -156,17 +150,15 @@ def parity_gain_from_contrast(j, contrast):
     return 2 * j * contrast**2
 
 
-def hellinger_distance(p, q):
-    """Hellinger distance between two projection distributions.
+def hellinger_curve(scan):
+    """Hellinger distance from the scan's first angle to each of its angles.
 
-    d_H^2 = 0.5 * sum_m (sqrt(p_m) - sqrt(q_m))^2, in [0, 1].
+    d_H^2 = 0.5 * sum_m (sqrt(p_m) - sqrt(q_m))^2, in [0, 1], with q the
+    distribution at phis[0].
     """
-    if p.probabilities.shape != q.probabilities.shape:
-        raise ValueError("distributions must share the same j")
-    if abs(p.axis.theta - q.axis.theta) > 1e-9:
-        raise ValueError("distributions must share the same axis family")
-    d2 = 0.5 * np.sum((np.sqrt(p.probabilities) - np.sqrt(q.probabilities)) ** 2)
-    return math.sqrt(min(max(d2, 0.0), 1.0))
+    root = np.sqrt(scan.probabilities)
+    d2 = 0.5 * np.sum((root - root[0]) ** 2, axis=-1)
+    return np.sqrt(np.clip(d2, 0.0, 1.0))
 
 
 def hellinger_window(j):
@@ -185,25 +177,18 @@ def gain_from_hellinger(scan, *, varz_bound=None):
     d_H^2 before fitting.
     """
     j = scan.j
-    window = hellinger_window(j)
-    bias_correction = scan.provenance == "sampled"
-    ref = scan.distributions[0]
-    dx, dh = [], []
-    for phi, d in zip(scan.phis[1:], scan.distributions[1:]):
-        sep = phi - scan.phis[0]
-        if sep > window:
-            break
-        d2 = hellinger_distance(d, ref) ** 2
-        if bias_correction:
-            if scan.atom_total is None:
-                raise ValueError("bias correction needs the atom total")
-            d2 = max(d2 - 2 * j / (8 * scan.atom_total), 0.0)
-        dx.append(sep)
-        dh.append(math.sqrt(d2))
+    sep = scan.phis - scan.phis[0]
+    inside = slice(1, int(np.searchsorted(sep, hellinger_window(j), side="right")))
+    dx = sep[inside]
+    d2 = hellinger_curve(scan)[inside] ** 2
+    if scan.provenance == "sampled":
+        if scan.atom_total is None:
+            raise ValueError("bias correction needs the atom total")
+        bias = 2 * j / (8 * np.broadcast_to(scan.atom_total, sep.shape)[inside])
+        d2 = np.maximum(d2 - bias, 0.0)
+    dh = np.sqrt(d2)
     if len(dx) < 4:
         raise ValueError("need at least 5 scan angles within the fit window")
-    dx = np.asarray(dx)
-    dh = np.asarray(dh)
     slope = float(dx @ dh / (dx @ dx))
     resid = dh - slope * dx
     slope_err = math.sqrt(float(resid @ resid) / max(len(dx) - 1, 1) / float(dx @ dx))
@@ -224,9 +209,8 @@ def gain_from_magnetization(scan, *, varz_bound=None):
     crosses zero (|model| < 0.2 A).
     """
     j = scan.j
-    mz = magnetization_curve(scan)
-    fit = fit_sinusoid(scan.phis, mz, 2 * j)
-    var = variance_curve(scan)
+    fit = fit_sinusoid(scan.phis, magnetization(scan), 2 * j)
+    var = variance(scan)
     if fit.amplitude < 1e-9 * j:
         return GainReport(
             gain=0.0, uncertainty=0.0,
@@ -265,10 +249,9 @@ def classical_fisher(scan, phi):
     lo, hi = max(i - 1, 0), min(i + 1, len(scan.phis) - 1)
     if lo == hi:
         raise ValueError("scan too short to differentiate")
-    p = scan.distributions[i].probabilities
-    dp = (
-        scan.distributions[hi].probabilities - scan.distributions[lo].probabilities
-    ) / (scan.phis[hi] - scan.phis[lo])
+    probs, phis = scan.probabilities, scan.phis
+    p = probs[i]
+    dp = (probs[hi] - probs[lo]) / (phis[hi] - phis[lo])
     mask = p > _PROBABILITY_FLOOR
     return float(np.sum(dp[mask] ** 2 / p[mask]))
 

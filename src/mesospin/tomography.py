@@ -103,9 +103,8 @@ class TomographyDataset:
     @property
     def observations(self):
         """Observed probabilities, one row per setting."""
-        rows = [self.z_distribution.probabilities]
-        rows.extend(d.probabilities for d in self.equatorial.distributions)
-        return np.array(rows)
+        return np.vstack([self.z_distribution.probabilities,
+                          self.equatorial.probabilities])
 
 
 def default_equatorial_angles(n=33):
@@ -121,7 +120,7 @@ def synthesize_dataset(state, phis=None, *, atom_total=None, seed=None):
     zd = projection_probs(state, Z_AXIS)
     # not `equatorial_scan`: its ~1e-17 for an exact 0 redirects the multinomial draws
     dists = [projection_probs(state, equatorial_direction(p)) for p in phis]
-    provenance = "exact"
+    counts = None
     if atom_total is not None:
         if seed is None:
             raise ValueError("sampling requires a seed")
@@ -130,8 +129,10 @@ def synthesize_dataset(state, phis=None, *, atom_total=None, seed=None):
             sample_counts(d, atom_total, substream(seed, 1 + i).integers(2**63))
             for i, d in enumerate(dists)
         ]
-        provenance = "sampled"
-    scan = PhaseScan(phis=phis, distributions=dists, provenance=provenance)
+        counts = [d.counts for d in dists]
+    scan = PhaseScan(j=zd.j, phis=phis, probabilities=[d.probabilities for d in dists],
+                     counts=counts, atom_total=zd.atom_total,
+                     provenance="exact" if counts is None else "sampled")
     return TomographyDataset(z_distribution=zd, equatorial=scan)
 
 
@@ -147,15 +148,11 @@ def dataset_to_json(data: TomographyDataset):
         doc["z_counts"] = [int(c) for c in zd.counts]
     else:
         doc["z_probs"] = [float(p) for p in zd.probabilities]
-    settings = []
-    for phi, d in zip(data.equatorial.phis, data.equatorial.distributions):
-        rec = {"phi": float(phi)}
-        if d.counts is not None:
-            rec["counts"] = [int(c) for c in d.counts]
-        else:
-            rec["probs"] = [float(p) for p in d.probabilities]
-        settings.append(rec)
-    doc["settings"] = settings
+    scan = data.equatorial
+    key, rows = (("probs", scan.probabilities) if scan.counts is None
+                 else ("counts", scan.counts))
+    doc["settings"] = [{"phi": phi, key: row}
+                       for phi, row in zip(scan.phis.tolist(), rows.tolist())]
     return doc
 
 
@@ -193,44 +190,53 @@ def dataset_from_json(doc):
     j = _json_finite(doc["j"], "j")
     n_total = doc.get("atom_total")
 
-    def dist(axis, rec, key_counts, key_probs, where=""):
-        if key_counts in rec:
-            counts = np.asarray(_json_list(rec[key_counts], where + key_counts,
-                                           _json_count), dtype=int)
-            if len(counts) != 2 * j + 1:
-                raise DimensionError(f"'{where + key_counts}' holds {len(counts)} "
-                                     f"counts for j = {j:g}, which has 2j+1 = "
-                                     f"{2 * j + 1:g} outcomes")
-            total = int(counts.sum())
-            if total == 0:  # probabilities 0/0
-                raise ValueError(
-                    "non-finite projection probability: all counts are zero")
-            return ProjectionDistribution(
-                j=j, axis=axis, probabilities=counts / total,
-                counts=counts, atom_total=total,
-            )
-        probs = _json_list(rec[key_probs], where + key_probs, _json_number)
-        return ProjectionDistribution(j=j, axis=axis, probabilities=np.asarray(probs))
+    def row(rec, key_counts, key_probs, where=""):
+        """(probabilities, counts, atom total) of one record; the last two
+        are None for a record of probabilities."""
+        counted = key_counts in rec
+        key = where + (key_counts if counted else key_probs)
+        values = (_json_list(rec[key_counts], key, _json_count) if counted
+                  else _json_list(rec[key_probs], key, _json_number))
+        if len(values) != 2 * j + 1:
+            raise DimensionError(
+                f"'{key}' holds {len(values)} "
+                f"{'counts' if counted else 'projection probabilities'} for "
+                f"j = {j:g}, which has 2j+1 = {2 * j + 1:g} outcomes")
+        if not counted:
+            return np.asarray(values, dtype=float), None, None
+        counts = np.asarray(values, dtype=int)
+        total = int(counts.sum())
+        if total == 0:  # probabilities 0/0
+            raise ValueError("non-finite projection probability: all counts are zero")
+        return counts / total, counts, total
 
-    zd = dist(Z_AXIS, doc, "z_counts", "z_probs")
+    zp, zc, zn = row(doc, "z_counts", "z_probs")
+    zd = ProjectionDistribution(j=j, axis=Z_AXIS, probabilities=zp, counts=zc,
+                                atom_total=zn)
     records = doc["settings"]
     if not isinstance(records, list) or not records:
         raise DatasetError(f"'settings' must be a non-empty list, not {records!r}")
-    phis, dists = [], []
+    phis, rows = [], []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise DatasetError(f"'settings[{i}]' must be an object, not {rec!r}")
         phis.append(_json_finite(rec["phi"], f"settings[{i}].phi"))
-        dists.append(dist(equatorial_direction(phis[-1]), rec, "counts", "probs",
-                          f"settings[{i}]."))
+        rows.append(row(rec, "counts", "probs", f"settings[{i}]."))
+    probs, counts, totals = zip(*rows)
+    if None in totals:
+        if any(t is not None for t in totals):
+            raise DatasetError("either every setting or none holds 'counts'")
+        counts = totals = None
+    provenance = "sampled" if (n_total or zd.counts is not None) else "exact"
+    scan = PhaseScan(j=j, phis=phis, probabilities=probs, counts=counts,
+                     atom_total=None if totals is None else np.array(totals),
+                     provenance=provenance)
     corr = doc.get("phase_corrections")
     if corr is not None:
         corr = _json_list(corr, "phase_corrections", _json_finite)
         if len(corr) != len(phis):
             raise DatasetError(f"'phase_corrections' holds {len(corr)} entries "
                                f"for {len(phis)} settings")
-    provenance = "sampled" if (n_total or zd.counts is not None) else "exact"
-    scan = PhaseScan(phis=np.asarray(phis), distributions=dists, provenance=provenance)
     return TomographyDataset(z_distribution=zd, equatorial=scan, phase_corrections=corr)
 
 
@@ -485,10 +491,11 @@ def fit_density_matrix(data):
 
 def _resample_observations(data, rng):
     """Redrawn observation table; the equatorial settings are drawn first."""
-    def draw(dist):
-        return rng.multinomial(dist.atom_total, dist.probabilities) / dist.atom_total
-    equatorial = [draw(d) for d in data.equatorial.distributions]
-    return np.array([draw(data.z_distribution), *equatorial])
+    scan, zd = data.equatorial, data.z_distribution
+    totals = np.asarray(scan.atom_total)  # one total, or one per setting
+    equatorial = rng.multinomial(totals, scan.probabilities) / totals[..., None]
+    return np.vstack([rng.multinomial(zd.atom_total, zd.probabilities) / zd.atom_total,
+                      equatorial])
 
 
 def bootstrap_errors(data, *, n_resamples=100, seed=0):
@@ -507,9 +514,8 @@ def bootstrap_errors(data, *, n_resamples=100, seed=0):
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
-    counted = (data.z_distribution.atom_total is not None and
-               all(dd.atom_total is not None
-                   for dd in data.equatorial.distributions))
+    counted = (data.z_distribution.atom_total is not None
+               and data.equatorial.atom_total is not None)
     d = int(2 * data.j) + 1
     design = _design(data.j, data.settings)
     obs = data.observations

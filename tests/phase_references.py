@@ -6,7 +6,8 @@ equatorial scan and the Fisher information, the pulse for the Ramsey
 scan.  The Fisher information differentiates the rotated state exactly
 through d sigma/d phi = -i [Jz, sigma].  The library evaluates all
 angles from one Fourier table of the state and is held to these
-readouts.
+readouts.  The moments and the Hellinger distance are likewise taken
+one distribution at a time, against the library's one product per scan.
 """
 
 import math
@@ -40,6 +41,29 @@ def ramsey_scan(state, phis, pulse):
         u = pulse * np.exp(-1j * phi * m)[None, :]
         out.append(projection_probs(u @ state @ u.conj().T))
     return out
+
+
+def parity(p, j):
+    """sum((-1)^m p_m) of one probability vector."""
+    m = np.round(m_values(j)).astype(int)
+    return float(np.where(m % 2 == 0, 1.0, -1.0) @ p)
+
+
+def magnetization(p, j):
+    """sum(m p_m) of one probability vector."""
+    return float(m_values(j) @ p)
+
+
+def variance(p, j):
+    """sum(m^2 p_m) - magnetization^2 of one probability vector."""
+    m = m_values(j)
+    return float(m**2 @ p - (m @ p) ** 2)
+
+
+def hellinger_distance(p, q):
+    """sqrt(0.5 sum_m (sqrt(p_m) - sqrt(q_m))^2) of two probability vectors."""
+    d2 = 0.5 * np.sum((np.sqrt(p) - np.sqrt(q)) ** 2)
+    return math.sqrt(min(max(d2, 0.0), 1.0))
 
 
 def fisher_information(state, phi=0.0):

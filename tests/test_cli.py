@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mesospin
+import table_reference
 from mesospin import kitten_state, pulse_steps
 from mesospin.cli import main
 from mesospin.config import config_to_json, default_config
@@ -178,6 +179,55 @@ def test_budget_summary_reports_the_realized_cloud(config_path, tmp_path):
     assert 0.0 < summary["ellipticity_rms"] < 1e-3
 
 
+def test_budget_without_detuning_is_a_configuration_error(tmp_path, capsys):
+    # the budget's quartic row needs a detuning, which the schema lets be 0
+    doc = config_to_json(default_config())
+    doc["coupling"]["detuning_rad_per_s"] = 0.0
+    path = tmp_path / "no-detuning.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["budget", "--config", str(path), "--out", str(out),
+                 "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "nonzero detuning" in err
+    assert not out.exists()
+
+
+def _mixed_table():
+    columns = [("label", ""), ("x", "1"), ("n", ""), ("flag", ""), ("maybe", "1"),
+               ("mixed", "")]
+    records = [
+        ["a", 0.1, 3, True, None, np.float64(2.5)],
+        ["b", -0.0, np.int64(-4), np.bool_(False), 1e-300, "text"],
+        ["c", float("nan"), 0, False, np.float32(0.1), 7],
+        ["d", np.float64(-0.0), 2**70, np.bool_(True), float("inf"), None],
+        ["e", 1e-300, -1, True, np.float64(float("nan")), np.int32(5)],
+    ]
+    summary = {"gain": np.float64(1.25), "count": np.int64(3), "ok": True,
+               "none": None, "tiny": 1e-300, "neg": -0.0}
+    return columns, records, summary
+
+
+@pytest.mark.parametrize("fname", ["table.csv", "table.json"])
+def test_table_bytes_match_the_cell_by_cell_writer(tmp_path, fname):
+    from mesospin.cli import _write_table
+
+    columns, records, summary = _mixed_table()
+    meta = {"seed": 1}
+    digest = _write_table(str(tmp_path), fname, meta, columns, records, summary)
+    want = table_reference.table_bytes(fname, meta, columns, records, summary)
+    assert (tmp_path / fname).read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+    # one column of one native type, and no records at all
+    for rows in ([[0.1, 1], [2.0, -3]], []):
+        _write_table(str(tmp_path), fname, meta, columns[:2], rows, summary)
+        assert (tmp_path / fname).read_bytes() == table_reference.table_bytes(
+            fname, meta, columns[:2], rows, summary)
+    with pytest.raises(ValueError, match="CSV layout"):
+        _write_table(str(tmp_path), "comma.csv", meta, columns[:1], [["a,b"]])
+
+
 def test_config_errors_exit_2(config_path, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     doc = config_to_json(default_config())
@@ -281,7 +331,9 @@ def test_dataset_errors(config_path, tmp_path, capsys):
             ({"settings": [5, *records[1:]]}, "'settings[0]'"),
             ({"settings": [{**records[0], "phi": "0"}, *records[1:]]},
              "'settings[0].phi'"),
-            ({"phase_corrections": [0.0]}, "'phase_corrections'")):
+            ({"phase_corrections": [0.0]}, "'phase_corrections'"),
+            ({"settings": [{"phi": records[0]["phi"], "probs": [1.0, 0.0, 0.0]},
+                           *records[1:]]}, "'counts'")):
         bad = tmp_path / "structure.json"
         bad.write_text(json.dumps({**j1, **fault}))
         assert main(["tomo", "--config", config_path, "--out", str(tmp_path),

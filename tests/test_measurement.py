@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from mesospin import (
     DimensionError,
     Direction,
+    PhaseScan,
     ProjectionDistribution,
     X_AXIS,
     basis_state,
     equatorial_direction,
-    equatorial_scan,
+    equatorial_phase_scan,
     expi_hermitian,
     kitten_state,
     magnetization,
@@ -101,14 +102,14 @@ def test_parity_requires_integer_spin():
 
 def test_kitten_parity_oscillates_as_sin_2j_phi():
     phis = np.linspace(0.0, math.pi / 8, 40)
-    vals = np.array([parity(d) for d in equatorial_scan(kitten_state(8), phis)])
+    vals = parity(equatorial_phase_scan(kitten_state(8), phis))
     assert np.max(np.abs(vals - np.sin(16 * phis))) < 1e-12
 
 
 def test_coherent_parity_decays_as_cos_power_2j():
     phis = np.linspace(0.0, math.pi / 2, 31)
     coh = basis_state(8, 8, X_AXIS)
-    vals = np.array([parity(d) for d in equatorial_scan(coh, phis)])
+    vals = parity(equatorial_phase_scan(coh, phis))
     assert np.max(np.abs(vals - np.cos(phis) ** 16)) < 1e-12
 
 
@@ -116,7 +117,8 @@ def test_ramsey_magnetization_follows_j_cos_2j_phi():
     phis = np.linspace(0.0, math.pi / 8, 40)
     ops = make_operators(8.0)
     pulse = expi_hermitian(ops.jx @ ops.jx, math.pi / 2)
-    mz = np.array([magnetization(d) for d in ramsey_scan(kitten_state(8), phis, pulse)])
+    probs = ramsey_scan(kitten_state(8), phis, pulse)
+    mz = magnetization(PhaseScan(j=8.0, phis=phis, probabilities=probs))
     assert np.max(np.abs(mz - 8 * np.cos(16 * phis))) < 1e-12
 
 
@@ -125,8 +127,8 @@ def test_ramsey_scan_accepts_density_matrix():
     rho = np.outer(psi, psi.conj())
     ops = make_operators(8.0)
     pulse = expi_hermitian(ops.jx @ ops.jx, math.pi / 2)
-    pv = ramsey_scan(psi, [0.3], pulse)[0].probabilities
-    pr = ramsey_scan(rho, [0.3], pulse)[0].probabilities
+    pv = ramsey_scan(psi, [0.3], pulse)[0]
+    pr = ramsey_scan(rho, [0.3], pulse)[0]
     assert np.allclose(pv, pr, atol=1e-12)
 
 

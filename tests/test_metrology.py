@@ -18,7 +18,7 @@ from mesospin import (
     gain_from_hellinger,
     gain_from_magnetization,
     gain_from_parity,
-    hellinger_distance,
+    hellinger_curve,
     kitten_state,
     parity_gain_from_contrast,
     projection_probs,
@@ -36,14 +36,64 @@ def _hellinger_grid():
     return np.linspace(0.0, 3 * w, 25)
 
 
+def _two_rows():
+    rows = np.zeros((2, 17))
+    rows[:, 3] = 1.0
+    return rows
+
+
+def _with(rows, index, value):
+    rows = rows.copy()
+    rows[index] = value
+    return rows
+
+
+_COUNTS = 10 * _two_rows().astype(int)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(phis=[0.0], probabilities=_two_rows()), "shape"),
+    (dict(phis=[0.0, 0.1], probabilities=_two_rows()[:, :9]), "shape"),
+    (dict(phis=[0.1, 0.1], probabilities=_two_rows()), "increasing"),
+    (dict(phis=[0.1, 0.0], probabilities=_two_rows()), "increasing"),
+    (dict(phis=[0.0, np.nan], probabilities=_two_rows()), "increasing"),
+    (dict(phis=[0.0, 0.1], probabilities=_with(_two_rows(), (1, 5), np.nan)),
+     "non-finite"),
+    (dict(phis=[0.0, 0.1],
+          probabilities=_with(_with(_two_rows(), (1, 0), -0.2), (1, 3), 1.2)),
+     "negative"),
+    (dict(phis=[0.0, 0.1], probabilities=_with(_two_rows(), (1, 3), 0.9)),
+     "sum to 1"),
+    (dict(phis=[0.0, 0.1], probabilities=_two_rows(), counts=_COUNTS,
+          atom_total=11), "atom_total"),
+    (dict(phis=[0.0, 0.1], probabilities=_two_rows(), counts=_COUNTS,
+          atom_total=[10, 11]), "atom_total"),
+    (dict(phis=[0.0, 0.1], probabilities=_two_rows(), counts=_COUNTS), "atom_total"),
+])
+def test_phase_scan_rejects_each_fault(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        PhaseScan(j=8.0, **kwargs)
+
+
 def test_phase_scan_validation():
-    dists = [projection_probs(KITTEN), projection_probs(KITTEN)]
+    probs = np.array([projection_probs(KITTEN).probabilities] * 2)
     with pytest.raises(ValueError):
-        PhaseScan(phis=[0.0], distributions=dists)
+        PhaseScan(j=J, phis=[0.0], probabilities=probs)
     with pytest.raises(ValueError):
-        PhaseScan(phis=[0.1, 0.1], distributions=dists)
+        PhaseScan(j=J, phis=[0.1, 0.1], probabilities=probs)
     with pytest.raises(ValueError):
-        PhaseScan(phis=[0.0, 0.1], distributions=dists, provenance="guessed")
+        PhaseScan(j=J, phis=[0.0, 0.1], probabilities=probs, provenance="guessed")
+
+
+def test_phase_scan_is_read_only_and_takes_per_angle_totals():
+    scan = PhaseScan(j=8.0, phis=[0.0, 0.1], probabilities=_two_rows(),
+                     counts=_COUNTS * [[1], [2]], atom_total=[10, 20])
+    for array in (scan.phis, scan.probabilities, scan.counts):
+        assert not array.flags.writeable
+    # rounding below the tolerance is clipped away
+    tiny = PhaseScan(j=8.0, phis=[0.0, 0.1],
+                     probabilities=_with(_two_rows(), (0, 0), -1e-12))
+    assert tiny.probabilities.min() == 0.0
 
 
 def test_sampled_scan_is_deterministic_and_needs_seed():
@@ -53,10 +103,45 @@ def test_sampled_scan_is_deterministic_and_needs_seed():
     s2 = sample_scan(equatorial_phase_scan(KITTEN, phis), 1000, 5)
     assert s1.provenance == "sampled"
     assert s1.atom_total == 1000
-    for d1, d2 in zip(s1.distributions, s2.distributions):
-        assert np.array_equal(d1.counts, d2.counts)
+    assert np.array_equal(s1.counts, s2.counts)
+    assert np.array_equal(s1.counts.sum(axis=1), np.full(5, 1000))
+    assert np.array_equal(s1.probabilities, s1.counts / 1000)
     with pytest.raises(ValueError):
         sample_scan(exact, 1000, None)
+    with pytest.raises(ValueError):
+        sample_scan(exact, 0, 5)
+
+
+def test_sample_scan_seeds_one_stream_and_draws_no_distributions(monkeypatch):
+    from mesospin import measurement, metrology, tomography
+
+    calls = {"substream": 0, "sample_counts": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrology, "substream",
+                        counting("substream", metrology.substream))
+    for module in (measurement, tomography):
+        monkeypatch.setattr(module, "sample_counts",
+                            counting("sample_counts", module.sample_counts))
+    scan = sample_scan(equatorial_phase_scan(KITTEN, np.linspace(0.0, 0.3, 65)),
+                       500, 7)
+    assert calls == {"substream": 1, "sample_counts": 0}
+    assert scan.counts.shape == (65, 17)
+
+
+def test_grids_sharing_a_prefix_share_its_counts():
+    head = np.linspace(0.0, 0.05, 6)
+    grid_a = np.concatenate([head, [0.07, 0.2]])
+    grid_b = np.concatenate([head, [0.06, 0.1, 0.3, 0.5]])
+    a = sample_scan(equatorial_phase_scan(KITTEN, grid_a), 2000, 11)
+    b = sample_scan(equatorial_phase_scan(KITTEN, grid_b), 2000, 11)
+    assert np.array_equal(a.counts[:6], b.counts[:6])
+    assert not np.array_equal(a.counts[6], b.counts[6])
 
 
 def test_parity_gain_of_ideal_superposition():
@@ -74,16 +159,16 @@ def test_parity_gain_from_contrast_value():
 
 
 def test_hellinger_distance_extremes_and_validation():
-    z0 = projection_probs(basis_state(8, 0))
-    z1 = projection_probs(basis_state(8, 1))
-    assert hellinger_distance(z0, z0) == pytest.approx(0.0, abs=1e-15)
-    assert hellinger_distance(z0, z1) == pytest.approx(1.0, abs=1e-15)
-    x = projection_probs(basis_state(8, 0, X_AXIS), X_AXIS)
+    z0 = projection_probs(basis_state(8, 0)).probabilities
+    z1 = projection_probs(basis_state(8, 1)).probabilities
+    scan = PhaseScan(j=8.0, phis=[0.0, 0.1, 0.2], probabilities=[z0, z0, z1])
+    assert np.allclose(hellinger_curve(scan), [0.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
+    # one scan holds one j: rows of another spin do not stack into it
+    half = projection_probs(basis_state(3.5, 0.5)).probabilities
     with pytest.raises(ValueError):
-        hellinger_distance(z0, x)
-    half = projection_probs(basis_state(3.5, 0.5))
+        PhaseScan(j=8.0, phis=[0.0, 0.1], probabilities=[z0, half])
     with pytest.raises(ValueError):
-        hellinger_distance(z0, half)
+        PhaseScan(j=3.5, phis=[0.0, 0.1], probabilities=[half, z0])
 
 
 def test_hellinger_gain_and_slope_ratio():
@@ -108,7 +193,7 @@ def test_hellinger_gain_needs_fine_scan():
 def test_hellinger_bias_correction_needs_atom_total():
     exact = equatorial_phase_scan(KITTEN, _hellinger_grid())
     # marked sampled, but without counts to size the bias correction
-    scan = PhaseScan(phis=exact.phis, distributions=exact.distributions,
+    scan = PhaseScan(j=J, phis=exact.phis, probabilities=exact.probabilities,
                      provenance="sampled")
     with pytest.raises(ValueError):
         gain_from_hellinger(scan)
@@ -133,7 +218,7 @@ def _three_outcome_dist(mu):
 def test_magnetization_gain_hand_computed():
     phis = np.arange(64) * math.pi / 64
     dists = [_three_outcome_dist(6 * math.cos(16 * phi)) for phi in phis]
-    scan = PhaseScan(phis=phis, distributions=dists)
+    scan = PhaseScan(j=8.0, phis=phis, probabilities=[d.probabilities for d in dists])
     rep = gain_from_magnetization(scan)
     assert rep.fit.amplitude == pytest.approx(6.0, abs=1e-9)
     # variance at the zero crossings is 49 - mu^2 = 49, so G = 2j A^2/49

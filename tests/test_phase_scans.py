@@ -8,13 +8,20 @@ import pytest
 
 import phase_references as ref
 from mesospin import (
+    PhaseScan,
+    equatorial_phase_scan,
     equatorial_scan,
     expi_hermitian,
     fisher_gain,
     fisher_information,
+    hellinger_curve,
     kitten_state,
+    magnetization,
     make_operators,
+    parity,
     ramsey_scan,
+    sample_scan,
+    variance,
 )
 from mesospin.measurement import _phase_scan, _polar_rotation
 
@@ -49,11 +56,10 @@ def _states():
 
 
 def _same_distributions(got, want):
-    assert len(got) == len(want)
+    """Rows of a scan against per-angle distributions of the same j."""
+    assert got.shape == (len(want), int(2 * want[0].j) + 1)
     for g, w in zip(got, want):
-        assert g.j == w.j
-        assert g.axis == w.axis
-        assert np.allclose(g.probabilities, w.probabilities, rtol=0.0, atol=1e-12)
+        assert np.allclose(g, w.probabilities, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("j, state", _states())
@@ -67,6 +73,30 @@ def test_ramsey_scan_matches_rotated_loop(j, state):
     for pulse in (expi_hermitian(ops.jx @ ops.jx, math.pi / 2), _random_pulse(j, 3)):
         _same_distributions(ramsey_scan(state, PHIS, pulse),
                             ref.ramsey_scan(state, PHIS, pulse))
+
+
+def _scans(j, state):
+    """An exact equatorial scan, a Ramsey scan and a sampled scan of a state."""
+    pulse = _random_pulse(j, 4)
+    exact = equatorial_phase_scan(state, PHIS)
+    yield exact
+    yield PhaseScan(j=j, phis=PHIS, probabilities=ramsey_scan(state, PHIS, pulse))
+    yield sample_scan(exact, 300, 9)
+
+
+@pytest.mark.parametrize("j, state", _states())
+def test_curves_match_per_row_references(j, state):
+    for scan in _scans(j, state):
+        rows = scan.probabilities
+        first = rows[0]
+        curves = [(magnetization, ref.magnetization), (variance, ref.variance)]
+        if j % 1 == 0:
+            curves.append((parity, ref.parity))
+        for curve, per_row in curves:
+            want = [per_row(p, j) for p in rows]
+            assert np.allclose(curve(scan), want, rtol=0.0, atol=1e-15)
+        want = [ref.hellinger_distance(p, first) for p in rows]
+        assert np.allclose(hellinger_curve(scan), want, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("j, state", _states())

@@ -14,6 +14,7 @@ import pytest
 
 import mesospin
 from mesospin import (
+    DatasetError,
     Direction,
     NoiseModel,
     X_AXIS,
@@ -44,6 +45,7 @@ from mesospin.tomography import (
     _fit,
     _hermitian,
     _project,
+    _resample_observations,
     _wigner_kernel,
 )
 from multipole import multipole_decompose, multipole_wigner, reconstruct_density
@@ -260,9 +262,26 @@ def test_dataset_json_round_trip_exact_and_sampled():
     back = dataset_from_json(doc)
     assert back.z_distribution.atom_total == 5000
     assert np.array_equal(back.z_distribution.counts, sampled.z_distribution.counts)
-    for da, db in zip(back.equatorial.distributions, sampled.equatorial.distributions):
-        assert np.array_equal(da.counts, db.counts)
+    assert np.array_equal(back.equatorial.counts, sampled.equatorial.counts)
     assert back.equatorial.provenance == "sampled"
+
+
+def test_dataset_settings_keep_their_own_atom_totals():
+    sampled = synthesize_dataset(KITTEN, phis=default_equatorial_angles(9),
+                                 atom_total=500, seed=2)
+    doc = dataset_to_json(sampled)
+    doc["settings"][1]["counts"] = [2 * c for c in doc["settings"][1]["counts"]]
+    back = dataset_from_json(doc)
+    assert back.equatorial.atom_total.tolist() == [500, 1000] + [500] * 7
+    assert np.array_equal(back.observations, sampled.observations)
+    redrawn = _resample_observations(back, np.random.default_rng(0))
+    assert np.array_equal(redrawn[2] * 1000, np.round(redrawn[2] * 1000))
+    assert not np.array_equal(redrawn[2] * 500, np.round(redrawn[2] * 500))
+    # a document holds counts for every setting or for none
+    doc["settings"][3] = {"phi": doc["settings"][3]["phi"],
+                          "probs": sampled.equatorial.probabilities[3].tolist()}
+    with pytest.raises(DatasetError, match="'counts'"):
+        dataset_from_json(doc)
 
 
 def test_synthesis_determinism_and_seed_requirement():
