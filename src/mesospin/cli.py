@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -600,7 +601,9 @@ def cmd_verify(out_dir):
 # ---------------------------------------------------------------- entry
 
 
+@lru_cache(maxsize=None)
 def _parser():
+    # built once per process: parse_args leaves the parser as it found it
     parser = argparse.ArgumentParser(
         prog="mesospin",
         description="Reproduce collective-spin superposition analyses as data files.",

@@ -276,6 +276,31 @@ def test_config_errors_exit_2(config_path, tmp_path, capsys):
     assert "--dataset" in capsys.readouterr().err
 
 
+def test_one_parser_serves_successive_calls(config_path, tmp_path, capsys):
+    from mesospin.cli import _parser
+
+    runs = [("parity", "--samples", "6", "--format", "json"),
+            ("ramsey", "--samples", "5")]
+
+    def run_all(root):
+        for i, (command, *extra) in enumerate(runs):
+            assert _run(command, config_path, root / str(i), *extra) == 0
+            # a parser error between the requests leaves the next one as it was
+            with pytest.raises(SystemExit) as info:
+                main([command, "--config", config_path, "--dataset", config_path])
+            assert info.value.code == 2
+            assert "--dataset" in capsys.readouterr().err
+        return [_tree_bytes(root / str(i)) for i in range(len(runs))]
+
+    assert _parser() is _parser()
+    cached = run_all(tmp_path / "cached")
+    # the second request takes the default csv format, not the first's json
+    assert all(name.endswith(".json") for name in cached[0])
+    assert any(name.endswith(".csv") for name in cached[1])
+    _parser.cache_clear()
+    assert run_all(tmp_path / "fresh") == cached
+
+
 def test_dataset_errors(config_path, tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert main(["tomo", "--config", config_path, "--out", str(tmp_path),

@@ -40,6 +40,7 @@ from mesospin import (
 )
 from mesospin.tomography import (
     _MU,
+    _Objective,
     _coordinates,
     _design,
     _fit,
@@ -48,6 +49,7 @@ from mesospin.tomography import (
     _resample_observations,
     _wigner_kernel,
 )
+from fit_reference import evaluate, reference_fit
 from multipole import multipole_decompose, multipole_wigner, reconstruct_density
 
 KITTEN = kitten_state(8)
@@ -59,7 +61,7 @@ def _mixed_state():
     return kitten_dephase(RHO_KITTEN, model, 46e-6)
 
 
-def _imperfect_kitten():
+def _imperfect_kitten(j=8.0):
     # the benchmark's imperfect kitten: 200 samples of intensity and
     # ellipticity on the closed-form path; unlike the kitten, it has
     # weight on directions the design does not observe
@@ -67,7 +69,7 @@ def _imperfect_kitten():
     imp = replace(cfg.imperfections, pulse_rise_time=0.0,
                   scattering_probability=0.0, ensemble_samples=200)
     coupling = replace(cfg.coupling, include_jx4=False)
-    return ensemble_evolve(basis_state(8.0, -8.0), coupling, imp,
+    return ensemble_evolve(basis_state(j, -j), coupling, imp,
                            cfg.kitten_pulse_time(), 0)
 
 
@@ -213,6 +215,66 @@ def test_estimate_does_not_depend_on_the_start():
         for _ in range(3000):
             rho = _project(rho - step * gradient(rho))
         assert np.linalg.norm(rho - fit.rho) <= 1e-6
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_spectral_gradient_and_trapezoid_decrease_match_the_design_form(weighted):
+    data = synthesize_dataset(KITTEN, atom_total=2000, seed=6)
+    design = _design(data.j, data.settings)
+    obs = data.observations
+    weights = substream(7, 0).exponential(1.0, size=obs.shape) if weighted else None
+    objective = _Objective(design, obs, weights)
+    rho, sigma = RHO_KITTEN, _random_mixed_state(17, np.random.default_rng(3))
+    x, x_sigma = _coordinates(rho), _coordinates(sigma)
+    for point in (x, x_sigma):
+        want_value, want_gradient = evaluate(design, obs, weights, point)
+        assert objective(point) == pytest.approx(want_value, rel=1e-12)
+        error = np.linalg.norm(objective.gradient(point) - want_gradient)
+        assert error <= 1e-12 * np.linalg.norm(want_gradient)
+    # F is quadratic, so the trapezoid rule on its gradients is exact
+    decrease = 0.5 * (objective.gradient(x) + objective.gradient(x_sigma)) @ (x_sigma - x)
+    if weighted:
+        change = (evaluate(design, obs, weights, x_sigma)[0]
+                  - evaluate(design, obs, weights, x)[0])
+    else:
+        change = _objective(sigma, data) - _objective(rho, data)
+    assert abs(change) > 1e-2
+    assert decrease == pytest.approx(change, rel=1e-12)
+
+
+# eigendecompositions a fit spends beyond one projection per iteration:
+# the certificates once a step puts the estimate within reach, and the
+# spectrum of D^T W D for a weighted fit; 6 to 49 in the cases below,
+# where a fit certified at every iteration spends n_iterations more
+_EXTRA_DECOMPOSITIONS = 60
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("j", [4.0, 8.0])
+@pytest.mark.parametrize("state", ["kitten", "coherent", "imperfect"])
+def test_fit_spends_one_eigendecomposition_per_iteration(monkeypatch, state, j, weighted):
+    truth = {"kitten": lambda: kitten_state(j),
+             "coherent": lambda: basis_state(j, j, axis=X_AXIS),
+             "imperfect": lambda: _imperfect_kitten(j)}[state]()
+    data = synthesize_dataset(truth, atom_total=2000, seed=2)
+    design = _design(data.j, data.settings)
+    obs = data.observations
+    weights = substream(5, 0).exponential(1.0, size=obs.shape) if weighted else None
+    want_rho, want_iterations, want_converged = reference_fit(design, obs, weights)
+
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _decompose=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return _decompose(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    fit = _fit(design, obs, weights)
+    monkeypatch.undo()
+
+    assert fit.converged and want_converged
+    assert fit.n_iterations == want_iterations
+    assert len(calls) <= fit.n_iterations + _EXTRA_DECOMPOSITIONS
+    assert np.max(np.abs(fit.rho - want_rho)) <= 1e-10
 
 
 def test_design_is_shared_per_settings_and_read_only():
