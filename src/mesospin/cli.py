@@ -3,7 +3,9 @@
 Each subcommand reproduces one analysis as a CSV or JSON artifact plus
 provenance metadata (configuration hash, seed, code version, RNG
 algorithm; no timestamps), and a manifest of payload hashes lets
-`verify` re-check file integrity.  Re-running a command with the same
+`verify` re-check file integrity.  A command computes all its
+artifacts first, then writes their payloads and the manifest once, so a
+failed command writes nothing.  Re-running a command with the same
 configuration and seed rewrites byte-identical payloads.
 """
 
@@ -17,6 +19,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,9 +220,8 @@ def _write_table(out_dir, fname, meta, columns, records, summary=None):
     return _write_text(os.path.join(out_dir, fname), "\n".join(lines) + "\n")
 
 
-def write_artifact(cfg, name, columns, records, summary, *, merge=False,
-                   extras=None):
-    """Write one artifact in the configured format and update the manifest.
+class Artifact(NamedTuple):
+    """One artifact a command produces.
 
     With merge=True the first column is treated as a method key:
     existing rows with other keys are kept, rows with the same keys are
@@ -227,18 +229,27 @@ def write_artifact(cfg, name, columns, records, summary, *, merge=False,
     an additional (columns, records) table stored as `name.key.*` under
     the same manifest entry.
     """
-    out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = _read_manifest(out_dir) or {"schema_version": 1, "artifacts": {}}
-    meta = _metadata(cfg)
-    if merge:
-        old_records, old_summary = _load_existing(out_dir, name, cfg.out_format)
+
+    name: str
+    columns: list
+    records: list
+    summary: dict
+    merge: bool = False
+    extras: dict | None = None
+
+
+def _write_payload(cfg, meta, artifact):
+    """The files of one artifact in the configured format, by hash."""
+    out_dir, ext = cfg.out_dir, cfg.out_format
+    name, columns = artifact.name, artifact.columns
+    records, summary = artifact.records, artifact.summary
+    if artifact.merge:
+        old_records, old_summary = _load_existing(out_dir, name, ext)
         new_keys = {str(r[0]) for r in records}
         kept = [r for r in old_records if str(r[0]) not in new_keys]
         records = sorted(kept + list(records), key=lambda r: str(r[0]))
         summary = {**old_summary, **_summary_json(summary)}
 
-    ext = cfg.out_format
     files = {}
     if ext == "json":
         fname = f"{name}.json"
@@ -252,12 +263,22 @@ def write_artifact(cfg, name, columns, records, summary, *, merge=False,
                 "summary": _summary_json(summary)}
         files[sname] = _write_text(os.path.join(out_dir, sname),
                                    canonical_json(sdoc))
-    for key, (ecols, erecs) in (extras or {}).items():
+    for key, (ecols, erecs) in (artifact.extras or {}).items():
         ename = f"{name}.{key}.{ext}"
         files[ename] = _write_table(out_dir, ename, meta, ecols, erecs)
-    manifest["artifacts"][name] = {"files": files, "metadata": meta}
-    _write_text(os.path.join(out_dir, _MANIFEST), canonical_json(manifest))
     return files
+
+
+def write_artifacts(cfg, artifacts):
+    """Write a command's artifacts, then the manifest once."""
+    out_dir = cfg.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = _read_manifest(out_dir) or {"schema_version": 1, "artifacts": {}}
+    meta = _metadata(cfg)
+    for artifact in artifacts:
+        manifest["artifacts"][artifact.name] = {
+            "files": _write_payload(cfg, meta, artifact), "metadata": meta}
+    _write_text(os.path.join(out_dir, _MANIFEST), canonical_json(manifest))
 
 
 # ---------------------------------------------------------------- commands
@@ -310,7 +331,7 @@ def cmd_evolve(cfg):
         "collapse_omega_t": omega * collapse_time(j, omega),
         "ensemble_samples": imp.ensemble_samples,
     }
-    write_artifact(cfg, "fig2", columns, records, summary)
+    fig2 = Artifact("fig2", columns, records, summary)
 
     gap_grid = np.linspace(0.0, 0.5 * math.pi, 201)
     records_s1 = [
@@ -326,12 +347,12 @@ def cmd_evolve(cfg):
         "max_mz_gap_early": float(np.max(gaps[early])),
         "limit_varz": j * (j + 0.5) / 2.0,
     }
-    write_artifact(cfg, "figS1",
-                   [("omega_t", "rad"), ("mz_analytic", "hbar"),
-                    ("mz_gaussian", "hbar"), ("mz_gap", "hbar"),
-                    ("varz_analytic", "hbar^2"), ("varz_gaussian", "hbar^2"),
-                    ("varz_gap", "hbar^2")],
-                   records_s1, summary_s1)
+    return [fig2, Artifact("figS1",
+                           [("omega_t", "rad"), ("mz_analytic", "hbar"),
+                            ("mz_gaussian", "hbar"), ("mz_gap", "hbar"),
+                            ("varz_analytic", "hbar^2"), ("varz_gaussian", "hbar^2"),
+                            ("varz_gap", "hbar^2")],
+                           records_s1, summary_s1)]
 
 
 def _imperfect_state(cfg):
@@ -341,7 +362,7 @@ def _imperfect_state(cfg):
                            cfg.kitten_pulse_time(), cfg.seed)
 
 
-def _write_scan_gain(cfg, name, method, scan, scan_sampled, report, summary):
+def _scan_gain(cfg, name, method, scan, scan_sampled, report, summary):
     """Exact and sampled scan probabilities as `name`, plus the fit's gain,
     merged into the fig3c method table as the `method` row."""
     ms = range(-int(cfg.j), int(cfg.j) + 1)
@@ -354,16 +375,16 @@ def _write_scan_gain(cfg, name, method, scan, scan_sampled, report, summary):
                "gain_uncertainty": report.uncertainty, "bound": report.bound,
                "pulse_steps": pulse_steps(cfg.imperfections,
                                           cfg.kitten_pulse_time())}
-    write_artifact(cfg, name,
-                   [("phi", "rad"), ("m", "hbar"), ("pi_exact", "1"),
-                    ("pi_sampled", "1")], records, summary)
-    write_artifact(cfg, "fig3c",
-                   [("method", ""), ("gain", "1"), ("uncertainty", "1"),
-                    ("bound", "1")],
-                   [[method, report.gain, report.uncertainty, report.bound]],
-                   {f"{method}_gain": report.gain,
-                    f"{method}_uncertainty": report.uncertainty},
-                   merge=True)
+    return [Artifact(name,
+                     [("phi", "rad"), ("m", "hbar"), ("pi_exact", "1"),
+                      ("pi_sampled", "1")], records, summary),
+            Artifact("fig3c",
+                     [("method", ""), ("gain", "1"), ("uncertainty", "1"),
+                      ("bound", "1")],
+                     [[method, report.gain, report.uncertainty, report.bound]],
+                     {f"{method}_gain": report.gain,
+                      f"{method}_uncertainty": report.uncertainty},
+                     merge=True)]
 
 
 def cmd_parity(cfg):
@@ -374,9 +395,9 @@ def cmd_parity(cfg):
     scan_sampled = sample_scan(scan, cfg.atom_total, cfg.seed)
     varz = variance(projection_probs(rho))
     report = gain_from_parity(scan_sampled, varz_bound=varz)
-    _write_scan_gain(cfg, "fig3a", "parity", scan, scan_sampled, report,
-                     {"contrast": report.fit.amplitude,
-                      "parity_first_point": float(parity(scan)[0])})
+    return _scan_gain(cfg, "fig3a", "parity", scan, scan_sampled, report,
+                      {"contrast": report.fit.amplitude,
+                       "parity_first_point": float(parity(scan)[0])})
 
 
 def cmd_ramsey(cfg):
@@ -389,8 +410,8 @@ def cmd_ramsey(cfg):
     scan_sampled = sample_scan(scan, cfg.atom_total, cfg.seed)
     varz = variance(projection_probs(rho))
     report = gain_from_magnetization(scan_sampled, varz_bound=varz)
-    _write_scan_gain(cfg, "fig3b", "magnetization", scan, scan_sampled, report,
-                     {"amplitude": report.fit.amplitude})
+    return _scan_gain(cfg, "fig3b", "magnetization", scan, scan_sampled, report,
+                      {"amplitude": report.fit.amplitude})
 
 
 def cmd_hellinger(cfg):
@@ -421,10 +442,10 @@ def cmd_hellinger(cfg):
         "window_rad": window,
         "pulse_steps": pulse_steps(cfg.imperfections, cfg.kitten_pulse_time()),
     }
-    write_artifact(cfg, "fig3d",
-                   [("dphi", "rad"), ("dh_coherent", "1"),
-                    ("dh_kitten_exact", "1"), ("dh_imperfect_sampled", "1")],
-                   records, summary)
+    return [Artifact("fig3d",
+                     [("dphi", "rad"), ("dh_coherent", "1"),
+                      ("dh_kitten_exact", "1"), ("dh_imperfect_sampled", "1")],
+                     records, summary)]
 
 
 def _read_dataset(path):
@@ -493,13 +514,13 @@ def cmd_tomo(cfg, dataset_path=None):
     }
     if dataset_path is None:
         summary["fidelity_truth"] = fidelity(truth, rho)
-    write_artifact(cfg, "fig4",
-                   [("row_m", "hbar"), ("col_m", "hbar"), ("abs_rho", "1"),
-                    ("re_rho", "1"), ("im_rho", "1"), ("bootstrap_std", "1")],
-                   records, summary,
-                   extras={"wigner": (
-                       [("theta", "rad"), ("phi", "rad"), ("w", "1")],
-                       wigner_records)})
+    fig4 = Artifact("fig4",
+                    [("row_m", "hbar"), ("col_m", "hbar"), ("abs_rho", "1"),
+                     ("re_rho", "1"), ("im_rho", "1"), ("bootstrap_std", "1")],
+                    records, summary,
+                    extras={"wigner": (
+                        [("theta", "rad"), ("phi", "rad"), ("w", "1")],
+                        wigner_records)})
 
     # coherence decay of the reconstructed state under the configured noise
     tau0 = coherence_time(cfg.noise, 1)
@@ -523,9 +544,9 @@ def cmd_tomo(cfg, dataset_path=None):
         "wigner_min_initial": float(np.min(w)),
         "wigner_min_dephased_70us": float(np.min(w70)),
     }
-    write_artifact(cfg, "fig5",
-                   [("curve", ""), ("time", "s"), ("value", "1")],
-                   records5, summary5)
+    return [fig4, Artifact("fig5",
+                           [("curve", ""), ("time", "s"), ("value", "1")],
+                           records5, summary5)]
 
 
 def cmd_budget(cfg):
@@ -554,10 +575,10 @@ def cmd_budget(cfg):
         "intensity_rms": float(np.std(f) / np.mean(f)),
         "ellipticity_rms": float(np.sqrt(np.mean(eps**2))),
     }
-    write_artifact(cfg, "tableS1",
-                   [("imperfection", ""), ("gain", "1"), ("correction", "1"),
-                    ("pulse_time", "s"), ("geometry_flagged", "")],
-                   records, summary)
+    table_s1 = Artifact("tableS1",
+                        [("imperfection", ""), ("gain", "1"), ("correction", "1"),
+                         ("pulse_time", "s"), ("geometry_flagged", "")],
+                        records, summary)
 
     schemes = measurement_scheme_gains(budget.combined_state)
     rows = [
@@ -568,10 +589,10 @@ def cmd_budget(cfg):
     ]
     records2 = [[name, rep.gain, rep.uncertainty, rep.bound]
                 for name, rep in rows]
-    write_artifact(cfg, "tableS2",
-                   [("scheme", ""), ("gain", "1"), ("uncertainty", "1"),
-                    ("bound", "1")],
-                   records2, {"variance_bound": schemes.bound})
+    return [table_s1, Artifact("tableS2",
+                               [("scheme", ""), ("gain", "1"), ("uncertainty", "1"),
+                                ("bound", "1")],
+                               records2, {"variance_bound": schemes.bound})]
 
 
 def cmd_verify(out_dir):
@@ -636,17 +657,18 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(cfg.out_dir)
         if args.command == "evolve":
-            cmd_evolve(cfg)
+            artifacts = cmd_evolve(cfg)
         elif args.command == "parity":
-            cmd_parity(cfg)
+            artifacts = cmd_parity(cfg)
         elif args.command == "ramsey":
-            cmd_ramsey(cfg)
+            artifacts = cmd_ramsey(cfg)
         elif args.command == "hellinger":
-            cmd_hellinger(cfg)
+            artifacts = cmd_hellinger(cfg)
         elif args.command == "tomo":
-            cmd_tomo(cfg, dataset_path=args.dataset)
-        elif args.command == "budget":
-            cmd_budget(cfg)
+            artifacts = cmd_tomo(cfg, dataset_path=args.dataset)
+        else:
+            artifacts = cmd_budget(cfg)
+        write_artifacts(cfg, artifacts)
     except (OSError, json.JSONDecodeError, _InputError) as exc:
         # unreadable or unparseable auxiliary inputs are configuration
         # problems, not computation failures

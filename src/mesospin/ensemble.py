@@ -29,12 +29,15 @@ lasts at most PULSE_STEP_S and takes the exact means of the rise
 envelope and of its square over the step: each sample's light, decay
 and quartic terms commute with themselves at every envelope value, and
 the light and decay terms share one eigenbasis, so only the Strang
-splitting against the static field is left to converge.  These step
-errors hold between jumps; a jump's time is resolved to one step.  The
-jump rate is calibrated once per ensemble call, on the nominal atom
-alone, so it depends on the physics (initial state, coupling, field
-axis, rise time, scattering probability and pulse time) and never on
-the samples or the seed.
+splitting against the static field is left to converge.  Each state
+stays in its sample's eigenbasis for the whole pulse, where a step is
+one diagonal phase and one product with a fixed per-sample matrix that
+carries the static field.  These step errors hold between jumps; a
+jump's time is resolved to one step.  The jump rate is calibrated on
+the nominal atom alone, so it depends on the physics (initial state,
+coupling, field axis, rise time, scattering probability, pulse time
+and step grid) and never on the samples, the cloud, the leak or the
+seed; it is calibrated once per physics and cached.
 """
 
 from __future__ import annotations
@@ -233,11 +236,11 @@ def scattering_channels(j, eps=0.0):
 
 def _apply_jump(psi, channels, rng_value):
     """Replace psi by one normalized jump channel, chosen by branching ratio."""
-    weights = np.array([np.real(np.vdot(ch @ psi, ch @ psi)) for ch in channels])
+    outs = [ch @ psi for ch in channels]
+    weights = np.array([np.real(np.vdot(out, out)) for out in outs])
     edges = np.cumsum(weights) / weights.sum()
-    pick = int(np.searchsorted(edges, rng_value))
-    out = channels[min(pick, len(channels) - 1)] @ psi
-    return out / math.sqrt(float(np.real(np.vdot(out, out))))
+    pick = min(int(np.searchsorted(edges, rng_value)), len(channels) - 1)
+    return outs[pick] / math.sqrt(float(weights[pick]))
 
 
 # Longest step of the stepped engine.  The error is second order in the
@@ -315,6 +318,87 @@ def _stepped_pulse(cfg, imp, ops, f, eps, t):
                   quartic_eig, field_half)
 
 
+def _rows(c, mats):
+    """Each row of c times its sample's matrix, one row per product.
+
+    c has shape (blocks, samples, dim) and mats (samples, dim, dim), or
+    one (dim, dim) for every row.  BLAS rounds a single row unlike a
+    stack of rows, so a row rounds alike in any batch.
+    """
+    return (c[:, :, None, :] @ mats)[:, :, 0, :]
+
+
+def _squared_norms(c):
+    return np.real(np.einsum("bni,bni->bn", c, c.conj()))
+
+
+class _March:
+    """The stepped pulse as row products in each sample's own eigenbasis.
+
+    A row holds a state's coordinates in the basis of the current stage
+    of a step: its sample's kmat eigenbasis kv for the light and decay
+    terms, then the quartic eigenbasis qv.  In either basis a stage is
+    one diagonal phase.  Both bases are real, so a basis B takes a row
+    of states into its coordinates as row @ B and back as B @ column.
+    Two row-form matrices per sample carry a row between the stages:
+    `inner` from kv into qv, and `wrap` from a step's last basis through
+    the whole static field F_h F_h into kv.  A step therefore costs one
+    product, or two with the quartic term, and none without field and
+    quartic.  Rows enter kv through the leading half field F_h and leave
+    the last basis through the trailing one only once per pulse.
+    """
+
+    def __init__(self, pulse, decay):
+        light_scale, kw, kv = pulse.light
+        rates = 0.0 if decay is None else decay[0]
+        self.pulse = pulse
+        self.exponent = (-1j * light_scale - 0.5 * rates)[:, None] * kw
+        self.kv = kv
+        self.inner = None
+        self.last = kv  # the basis a step ends in, where a row jumps
+        if pulse.quartic is not None:
+            scale, qw, qv = pulse.quartic
+            self.quartic_phase = -1j * scale[:, None] * qw[None, :]
+            self.inner = kv.transpose(0, 2, 1) @ qv
+            self.last = np.ascontiguousarray(qv, dtype=complex)
+        self.field_t = self.wrap = None
+        if pulse.field_half is not None:
+            self.field_t = np.ascontiguousarray(pulse.field_half.T)
+            whole = self.field_t @ self.field_t
+            self.wrap = np.swapaxes(self.last, -1, -2) @ (whole @ kv)
+        elif self.inner is not None:
+            self.wrap = self.last.T @ kv
+
+    def run(self, psi, samples=slice(None), on_step=None):
+        """(states, squared norms) after the pulse.
+
+        Row i of each block of psi belongs to sample samples[i].  The
+        squared norms are those at the end of the last step, before the
+        trailing half field.  on_step(c) sees the rows after the light,
+        decay and quartic terms of every step and may change them.
+        """
+        ds = self.pulse.ds
+        kv, inner, wrap, last = (
+            m if m is None or m.ndim == 2 else m[samples]
+            for m in (self.kv, self.inner, self.wrap, self.last))
+        if self.field_t is not None:
+            psi = _rows(psi, self.field_t)
+        c = _rows(psi, kv)
+        for k, (e_k, e2_k) in enumerate(zip(self.pulse.env, self.pulse.env2)):
+            if k and wrap is not None:
+                c = _rows(c, wrap)
+            c *= np.exp(self.exponent * (e_k * ds))[samples]
+            if inner is not None:
+                c = _rows(c, inner)
+                c *= np.exp(self.quartic_phase * (e2_k * ds))[samples]
+            if on_step is not None:
+                on_step(c)
+        psi = (last @ c[:, :, :, None])[:, :, :, 0]
+        if self.field_t is not None:
+            psi = _rows(psi, self.field_t)
+        return psi, _squared_norms(c)
+
+
 def _run_steps(psi, pulse, decay=None, seed=None):
     """March states through the stepped pulse: the one MCWF engine.
 
@@ -322,60 +406,49 @@ def _run_steps(psi, pulse, decay=None, seed=None):
     `_calibrate_ensemble_rate` the nominal atom.
 
     psi has shape (blocks, samples, dim); per-sample terms broadcast
-    over blocks, so several initial states step in one batch.  Matrix
-    products stay per block, because BLAS rounds a single row unlike a
-    stack of rows.  Each step applies half the static field, the light
-    and decay terms in the eigenbasis of the sample's kmat at the step's
-    mean envelope, the quartic term in its eigenbasis at the step's mean
-    squared envelope, then the other half of the field.  decay = (rates,
-    two_j) holds each sample's jump rate and the spin's 2j; states are
-    never renormalised, so their norms decay, which is all the rate
-    calibration (seed None) needs.  With a seed, state (b, i) jumps at
-    the end of the first step that takes its squared norm below a
-    uniform threshold from substream(seed, 1, i, 0), through the
-    channels of its own ellipticity; its k-th jump draws the channel
-    pick and the next threshold from substream(seed, 1, i, k), shared
-    by every block.  The PULSE_STEP_S errors hold between jumps; a
-    jump's time is resolved to one step.
+    over blocks, so several initial states step in one batch.  Each
+    step applies half the static field, the light and decay terms at
+    the step's mean envelope, the quartic term at its mean squared
+    envelope, then the other half of the field.  Each row stays in its
+    sample's eigenbasis for the whole pulse (see `_March`) and leaves it
+    only at the end and at a jump.  decay = (rates, two_j) holds each
+    sample's jump rate and the spin's 2j; states are never renormalised,
+    so their norms decay, which is all the rate calibration (seed None)
+    needs.  With a seed, state (b, i) jumps after the light and decay
+    terms of the first step that takes its squared norm below a uniform
+    threshold from substream(seed, 1, i, 0), through the channels of
+    its own ellipticity; its k-th jump draws the channel pick and the
+    next threshold from substream(seed, 1, i, k), shared by every block.
+    A no-jump norm only falls, so the batch marches without a norm test
+    and only the rows that end below their threshold replay from the
+    start, with the same row products.  The PULSE_STEP_S errors hold
+    between jumps; a jump's time is resolved to one step.
     """
-    light_scale, kw, kv = pulse.light
-    kv_t = kv.transpose(0, 2, 1)  # kv is real, so kv^dag = kv^T
-    rates = 0.0 if decay is None else decay[0]
-    exponent = (-1j * light_scale - 0.5 * rates)[:, None] * kw
-    ds = pulse.ds
-    field_t = None if pulse.field_half is None else pulse.field_half.T
-    if pulse.quartic is not None:
-        scale, qw, qv = pulse.quartic
-        quartic_phase = -1j * scale[:, None] * qw[None, :]
-        qv_c, qv_t = qv.conj(), qv.T
-    jumping = decay is not None and seed is not None
-    if jumping:
-        first = [substream(seed, 1, i, 0).random() for i in range(psi.shape[1])]
-        threshold = np.tile(first, (psi.shape[0], 1))
-        jumps = np.zeros(psi.shape[:2], dtype=int)
-    for e_k, e2_k in zip(pulse.env, pulse.env2):
-        if field_t is not None:
-            psi = psi @ field_t
-        # one row per (block, sample) against its sample's basis, so a
-        # row rounds alike in any batch
-        amp = psi[:, :, None, :] @ kv
-        amp *= np.exp(exponent * (e_k * ds))[:, None, :]
-        psi = (amp @ kv_t)[:, :, 0, :]
-        if pulse.quartic is not None:
-            amp = psi @ qv_c
-            amp *= np.exp(quartic_phase * (e2_k * ds))
-            psi = amp @ qv_t
-        if jumping:
-            norms = np.real(np.einsum("bni,bni->bn", psi, psi.conj()))
-            for b, i in zip(*np.nonzero(norms < threshold)):
-                jumps[b, i] += 1
-                pick, threshold[b, i] = substream(
-                    seed, 1, i, int(jumps[b, i])).random(2)
-                channels = scattering_channels(decay[1] / 2.0, pulse.eps[i])
-                psi[b, i] = _apply_jump(psi[b, i], channels, pick)
-        if field_t is not None:
-            psi = psi @ field_t
-    return psi
+    march = _March(pulse, decay)
+    out, norms = march.run(psi)
+    if decay is None or seed is None:
+        return out
+    threshold = np.array([substream(seed, 1, i, 0).random()
+                          for i in range(psi.shape[1])])
+    blocks, samples = np.nonzero(norms < threshold)
+    if blocks.size == 0:
+        return out
+    # the replayed rows, each with its own threshold and jump count; the
+    # channels are built once per sample
+    threshold, jumps = threshold[samples], np.zeros(samples.size, dtype=int)
+    channels = {i: scattering_channels(decay[1] / 2.0, pulse.eps[i])
+                for i in set(samples.tolist())}
+
+    def jump(c):
+        for r in np.nonzero(_squared_norms(c)[0] < threshold)[0]:
+            i = int(samples[r])
+            jumps[r] += 1
+            pick, threshold[r] = substream(seed, 1, i, int(jumps[r])).random(2)
+            basis = march.last if march.last.ndim == 2 else march.last[i]
+            c[0, r] = _apply_jump(basis @ c[0, r], channels[i], pick) @ basis
+
+    out[blocks, samples] = march.run(psi[None, blocks, samples], samples, jump)[0][0]
+    return out
 
 
 def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
@@ -413,7 +486,7 @@ def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
     psi = np.stack([np.repeat(psi0[None, :], n, axis=0)
                     for _, psi0 in starters]).astype(complex)
     psi = _run_steps(psi, pulse, decay, seed)
-    norms = np.real(np.einsum("bni,bni->bn", psi, psi.conj()))
+    norms = _squared_norms(psi)
     psi = psi / np.sqrt(norms)[:, :, None]
     for (weight, _), block in zip(starters, psi):
         rho += weight * np.einsum("ni,nk->ik", block, block.conj())
@@ -425,19 +498,35 @@ def _calibrate_ensemble_rate(initial, cfg, imp, t, ops):
 
     The rate belongs to the nominal atom (unit intensity, no
     ellipticity), so it depends on the physics alone and never on the
-    samples or the seed.  Its no-jump survival over the pulse is 1 - the
-    scattering probability.
+    samples, the cloud, the leak or the seed.  Its no-jump survival over
+    the pulse is 1 - the scattering probability.  It is calibrated once
+    per physics: the cache key holds exactly what the calibration reads,
+    the step grid included.
     """
-    target = imp.scattering_probability
-    if target == 0:
+    if imp.scattering_probability == 0:
         return 0.0
     initial = np.asarray(initial, dtype=complex)
+    return _calibrated_rate(initial.tobytes(), cfg, imp.field_axis_components,
+                            imp.pulse_rise_time, imp.scattering_probability, t,
+                            ops.j, PULSE_STEP_S, _MIN_STEPS)
+
+
+@lru_cache(maxsize=256)
+def _calibrated_rate(initial, cfg, field_axis, rise, target, t, j, step, min_steps):
+    """The rate of `_calibrate_ensemble_rate`, from its cache key alone.
+
+    step and min_steps are the PULSE_STEP_S and _MIN_STEPS that
+    `_stepped_pulse` reads, so a changed grid misses the cache.
+    """
+    initial = np.frombuffer(initial, dtype=complex)
+    imp = ImperfectionConfig(field_axis_components=field_axis,
+                             pulse_rise_time=rise, scattering_probability=target)
+    ops = make_operators(j)
     pulse = _stepped_pulse(cfg, imp, ops, np.ones(1), np.zeros(1), t)
-    two_j = int(round(2 * ops.j))
+    two_j = int(round(2 * j))
 
     def survival(gamma):
-        psi = initial[None, None, :].astype(complex)
-        psi = _run_steps(psi, pulse, (np.array([gamma]), two_j))
+        psi = _run_steps(initial[None, None, :], pulse, (np.array([gamma]), two_j))
         return float(np.real(np.vdot(psi[0, 0], psi[0, 0])))
 
     expect = float(np.real(np.vdot(initial, _kmat(two_j, [0.0])[0] @ initial)))

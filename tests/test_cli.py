@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import mesospin
 import table_reference
-from mesospin import kitten_state, pulse_steps
+from mesospin import cli, ensemble, kitten_state, pulse_steps
 from mesospin.cli import main
 from mesospin.config import config_to_json, default_config
 from mesospin.ensemble import _imperfection_draws
@@ -675,3 +675,30 @@ def test_library_holds_only_what_commands_demos_and_paper_checks_reach():
     # every kept reference exists and is reached no other way
     assert sorted(".".join(ref) for ref in kept - library) == []
     assert sorted(".".join(ref) for ref in kept & reached) == []
+
+
+def test_warm_scan_request_marches_once_and_writes_one_manifest(
+        config_path, tmp_path, monkeypatch):
+    # once a request has calibrated the jump rate of the configured
+    # physics, a parity, ramsey or hellinger request at another seed
+    # steps its ensemble in one march and writes the manifest once
+    counts = {"marches": 0, "manifests": 0}
+    run_steps, write_text = ensemble._run_steps, cli._write_text
+
+    def march(*args):
+        counts["marches"] += 1
+        return run_steps(*args)
+
+    def write(path, text):
+        counts["manifests"] += os.path.basename(path) == "manifest.json"
+        return write_text(path, text)
+
+    monkeypatch.setattr(ensemble, "_run_steps", march)
+    monkeypatch.setattr(cli, "_write_text", write)
+    for command in ("parity", "ramsey", "hellinger"):
+        argv = [command, "--config", config_path, "--samples", "4",
+                "--out", str(tmp_path)]
+        assert main(argv + ["--seed", "1"]) == 0
+        counts.update(marches=0, manifests=0)
+        assert main(argv + ["--seed", "2"]) == 0
+        assert counts == {"marches": 1, "manifests": 1}, command

@@ -1,6 +1,8 @@
 """Ensemble averaging over pulse imperfections and photon scattering."""
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from mesospin import (
 from mesospin import ensemble
 from mesospin.config import default_config
 from mesospin.ensemble import _calibrate_ensemble_rate, _pulse_duration
+import march_reference
 from light_shift import (
     LightShiftParams,
     coupling_rate,
@@ -345,9 +348,13 @@ def test_calibrated_rate_ignores_samples_and_seed(monkeypatch):
     assert used == [rate, rate]
 
 
-def test_calibrated_rate_follows_the_physics():
+def test_calibrated_rate_follows_the_physics(monkeypatch):
+    # each input the calibration reads misses the cache, and the step
+    # grid is one of them
     coupling, imp = _default_physics()
+    ensemble._calibrated_rate.cache_clear()
     rate = _rate(DOWN, coupling, imp, T_KITTEN)
+    misses = ensemble._calibrated_rate.cache_info().misses
     for changed_coupling, changed, t in (
             (coupling, replace(imp, scattering_probability=0.014), T_KITTEN),
             (coupling, replace(imp, pulse_rise_time=100e-9), T_KITTEN),
@@ -358,9 +365,44 @@ def test_calibrated_rate_follows_the_physics():
             (replace(coupling, include_jx4=not coupling.include_jx4), imp, T_KITTEN)):
         other = _rate(DOWN, changed_coupling, changed, t)
         assert other != pytest.approx(rate, rel=1e-9)
+        misses += 1
+        assert ensemble._calibrated_rate.cache_info().misses == misses
+    assert _rate(basis_state(8, -7), coupling, imp, T_KITTEN) != rate
+    for name, value in (("PULSE_STEP_S", 2e-9), ("_MIN_STEPS", 60)):
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble, name, value)
+            assert _rate(DOWN, coupling, imp, T_KITTEN) != rate
+    assert ensemble._calibrated_rate.cache_info().misses == misses + 3
     # twice the probability needs about twice the rate
     doubled = _rate(DOWN, coupling, replace(imp, scattering_probability=0.014), T_KITTEN)
     assert doubled == pytest.approx(2 * rate, rel=0.02)
+
+
+def test_rate_is_calibrated_once_per_physics(monkeypatch):
+    # calls that differ only in seed, samples, cloud or leak share one
+    # calibration (three marches); each call then marches once
+    coupling, imp = _default_physics()
+    ensemble._calibrated_rate.cache_clear()
+    marches = [0]
+    run_steps = ensemble._run_steps
+
+    def counting(*args):
+        marches[0] += 1
+        return run_steps(*args)
+
+    monkeypatch.setattr(ensemble, "_run_steps", counting)
+    calls = ((imp, 1), (imp, 2), (replace(imp, ensemble_samples=3), 1),
+             (replace(imp, cloud_sigma=0.0), 1),
+             (replace(imp, initial_leak_fraction=0.0), 1))
+    for other, seed in calls:
+        ensemble_evolve(DOWN, coupling, other, T_KITTEN, seed)
+    info = ensemble._calibrated_rate.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert marches[0] == 3 + len(calls)
+    # a cached rate is the rate computed afresh, bit for bit
+    cached = _rate(DOWN, coupling, imp, T_KITTEN)
+    ensemble._calibrated_rate.cache_clear()
+    assert _rate(DOWN, coupling, imp, T_KITTEN) == cached
 
 
 # 0.5: most samples jump; 1 - 1e-7: about 16 jumps each, so each
@@ -387,3 +429,49 @@ def test_batched_starters_match_starters_stepped_alone(samples, probability):
         expect += weight * np.einsum("ni,nk->ik", psi, psi.conj())
     rho = ensemble_evolve(DOWN, coupling, imp, T_KITTEN, seed=2)
     assert np.array_equal(rho, expect / samples)
+
+
+@pytest.mark.parametrize("j", [3.5, 4.0, 8.0])
+@pytest.mark.parametrize("probability", [0.007, 0.3])
+def test_march_matches_its_per_step_reference(j, probability, monkeypatch):
+    # the per-step loop of march_reference on one starter block at a time,
+    # with the static field, the quartic term and the rise each on and
+    # off; at 0.3 rows jump repeatedly.  The largest gap, 5.3e-14, is
+    # without field and quartic term, where the reference still rotates
+    # into and out of kv at every step and the march does not.
+    base, imp = _default_physics(24)
+    imp = replace(imp, scattering_probability=probability)
+    ops = make_operators(j)
+    draws = Counter()
+    real_substream = ensemble.substream
+
+    def recording(seed, *key):
+        if key[0] == 1 and key[2] > 0:
+            draws[key[1]] += 1  # one draw per jump of the row's sample
+        return real_substream(seed, *key)
+
+    monkeypatch.setattr(ensemble, "substream", recording)
+    monkeypatch.setattr(march_reference, "substream", recording)
+    most = 0
+    for field, quartic, rise in itertools.product((True, False), repeat=3):
+        coupling = replace(base, include_jx4=quartic,
+                           omega_larmor=base.omega_larmor if field else 0.0)
+        physics = replace(imp, pulse_rise_time=imp.pulse_rise_time if rise else 0.0)
+        f, eps = ensemble._imperfection_draws(physics, 5)
+        pulse = ensemble._stepped_pulse(coupling, physics, ops, f, eps, T_KITTEN)
+        assert (pulse.field_half is not None) == field
+        assert (pulse.quartic is not None) == quartic
+        rate = _calibrate_ensemble_rate(basis_state(j, -j), coupling, physics,
+                                        T_KITTEN, ops)
+        decay = (rate * f, int(2 * j))
+        for start in (basis_state(j, -j), basis_state(j, -j + 1)):
+            psi = np.repeat(start[None, None].astype(complex), f.size, axis=1)
+            outs, jumps = [], []
+            for march in (ensemble._run_steps, march_reference.reference_steps):
+                draws.clear()
+                outs.append(march(psi, pulse, decay, 5))
+                jumps.append(dict(draws))
+            assert np.max(np.abs(outs[0] - outs[1])) < 1e-13, (field, quartic, rise)
+            assert jumps[0] == jumps[1], (field, quartic, rise)
+            most = max([most, *jumps[0].values()])
+    assert most >= (2 if probability > 0.1 else 0)
