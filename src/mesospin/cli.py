@@ -3,10 +3,13 @@
 Each subcommand reproduces one analysis as a CSV or JSON artifact plus
 provenance metadata (configuration hash, seed, code version, RNG
 algorithm; no timestamps), and a manifest of payload hashes lets
-`verify` re-check file integrity.  A command computes all its
-artifacts first, then writes their payloads and the manifest once, so a
-failed command writes nothing.  Re-running a command with the same
-configuration and seed rewrites byte-identical payloads.
+`verify` re-check file integrity.  A command computes its artifacts
+and reads what it merges before its first write, then writes the
+payloads and the manifest once: a malformed input file in the output
+directory fails the command before it writes anything, and a failed
+write still leaves a manifest holding the hash of every file written.
+Re-running a command with the same configuration and seed rewrites
+byte-identical payloads.
 """
 
 from __future__ import annotations
@@ -238,19 +241,23 @@ class Artifact(NamedTuple):
     extras: dict | None = None
 
 
-def _write_payload(cfg, meta, artifact):
-    """The files of one artifact in the configured format, by hash."""
+def _merged(out_dir, ext, artifact):
+    """The artifact with the rows and summary it keeps from out_dir."""
+    if not artifact.merge:
+        return artifact
+    old_records, old_summary = _load_existing(out_dir, artifact.name, ext)
+    new_keys = {str(r[0]) for r in artifact.records}
+    kept = [r for r in old_records if str(r[0]) not in new_keys]
+    return artifact._replace(
+        records=sorted(kept + list(artifact.records), key=lambda r: str(r[0])),
+        summary={**old_summary, **_summary_json(artifact.summary)})
+
+
+def _write_payload(cfg, meta, artifact, files):
+    """Write the files of one artifact, adding each one's hash to files."""
     out_dir, ext = cfg.out_dir, cfg.out_format
     name, columns = artifact.name, artifact.columns
     records, summary = artifact.records, artifact.summary
-    if artifact.merge:
-        old_records, old_summary = _load_existing(out_dir, name, ext)
-        new_keys = {str(r[0]) for r in records}
-        kept = [r for r in old_records if str(r[0]) not in new_keys]
-        records = sorted(kept + list(records), key=lambda r: str(r[0]))
-        summary = {**old_summary, **_summary_json(summary)}
-
-    files = {}
     if ext == "json":
         fname = f"{name}.json"
         files[fname] = _write_table(out_dir, fname, meta, columns, records,
@@ -266,19 +273,32 @@ def _write_payload(cfg, meta, artifact):
     for key, (ecols, erecs) in (artifact.extras or {}).items():
         ename = f"{name}.{key}.{ext}"
         files[ename] = _write_table(out_dir, ename, meta, ecols, erecs)
-    return files
 
 
 def write_artifacts(cfg, artifacts):
-    """Write a command's artifacts, then the manifest once."""
+    """Write a command's artifacts, then the manifest once.
+
+    Every read (the manifest, and the rows a merged artifact keeps)
+    comes before the first write, so a malformed file in out_dir fails
+    the command before it writes anything.  If a write fails, the
+    manifest is still written, with the hash of every file written.
+    """
     out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     manifest = _read_manifest(out_dir) or {"schema_version": 1, "artifacts": {}}
+    artifacts = [_merged(out_dir, cfg.out_format, a) for a in artifacts]
     meta = _metadata(cfg)
-    for artifact in artifacts:
-        manifest["artifacts"][artifact.name] = {
-            "files": _write_payload(cfg, meta, artifact), "metadata": meta}
-    _write_text(os.path.join(out_dir, _MANIFEST), canonical_json(manifest))
+    entries = manifest["artifacts"]
+    try:
+        for artifact in artifacts:
+            files = {}
+            try:
+                _write_payload(cfg, meta, artifact, files)
+            finally:
+                if files:
+                    entries[artifact.name] = {"files": files, "metadata": meta}
+    finally:
+        _write_text(os.path.join(out_dir, _MANIFEST), canonical_json(manifest))
 
 
 # ---------------------------------------------------------------- commands

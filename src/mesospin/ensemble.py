@@ -34,10 +34,9 @@ stays in its sample's eigenbasis for the whole pulse, where a step is
 one diagonal phase and one product with a fixed per-sample matrix that
 carries the static field.  These step errors hold between jumps; a
 jump's time is resolved to one step.  The jump rate is calibrated on
-the nominal atom alone, so it depends on the physics (initial state,
-coupling, field axis, rise time, scattering probability, pulse time
-and step grid) and never on the samples, the cloud, the leak or the
-seed; it is calibrated once per physics and cached.
+the nominal atom alone, in three marches per ensemble call, so it
+depends on the physics and never on the samples, the cloud, the leak
+or the seed.
 """
 
 from __future__ import annotations
@@ -499,31 +498,14 @@ def _calibrate_ensemble_rate(initial, cfg, imp, t, ops):
     The rate belongs to the nominal atom (unit intensity, no
     ellipticity), so it depends on the physics alone and never on the
     samples, the cloud, the leak or the seed.  Its no-jump survival over
-    the pulse is 1 - the scattering probability.  It is calibrated once
-    per physics: the cache key holds exactly what the calibration reads,
-    the step grid included.
+    the pulse is 1 - the scattering probability.
     """
-    if imp.scattering_probability == 0:
+    target = imp.scattering_probability
+    if target == 0:
         return 0.0
     initial = np.asarray(initial, dtype=complex)
-    return _calibrated_rate(initial.tobytes(), cfg, imp.field_axis_components,
-                            imp.pulse_rise_time, imp.scattering_probability, t,
-                            ops.j, PULSE_STEP_S, _MIN_STEPS)
-
-
-@lru_cache(maxsize=256)
-def _calibrated_rate(initial, cfg, field_axis, rise, target, t, j, step, min_steps):
-    """The rate of `_calibrate_ensemble_rate`, from its cache key alone.
-
-    step and min_steps are the PULSE_STEP_S and _MIN_STEPS that
-    `_stepped_pulse` reads, so a changed grid misses the cache.
-    """
-    initial = np.frombuffer(initial, dtype=complex)
-    imp = ImperfectionConfig(field_axis_components=field_axis,
-                             pulse_rise_time=rise, scattering_probability=target)
-    ops = make_operators(j)
     pulse = _stepped_pulse(cfg, imp, ops, np.ones(1), np.zeros(1), t)
-    two_j = int(round(2 * j))
+    two_j = int(round(2 * ops.j))
 
     def survival(gamma):
         psi = _run_steps(initial[None, None, :], pulse, (np.array([gamma]), two_j))

@@ -677,11 +677,11 @@ def test_library_holds_only_what_commands_demos_and_paper_checks_reach():
     assert sorted(".".join(ref) for ref in kept & reached) == []
 
 
-def test_warm_scan_request_marches_once_and_writes_one_manifest(
+def test_scan_request_marches_four_times_and_writes_one_manifest(
         config_path, tmp_path, monkeypatch):
-    # once a request has calibrated the jump rate of the configured
-    # physics, a parity, ramsey or hellinger request at another seed
-    # steps its ensemble in one march and writes the manifest once
+    # a parity, ramsey or hellinger request calibrates the jump rate in
+    # three marches of the nominal atom, steps its ensemble in one more,
+    # and writes the manifest once
     counts = {"marches": 0, "manifests": 0}
     run_steps, write_text = ensemble._run_steps, cli._write_text
 
@@ -701,4 +701,35 @@ def test_warm_scan_request_marches_once_and_writes_one_manifest(
         assert main(argv + ["--seed", "1"]) == 0
         counts.update(marches=0, manifests=0)
         assert main(argv + ["--seed", "2"]) == 0
-        assert counts == {"marches": 1, "manifests": 1}, command
+        assert counts == {"marches": 4, "manifests": 1}, command
+
+
+def test_failed_merge_writes_nothing_and_failed_write_keeps_manifest_true(
+        config_path, tmp_path, monkeypatch, capsys):
+    argv = ["parity", "--config", config_path, "--samples", "2",
+            "--out", str(tmp_path)]
+    assert main(argv + ["--seed", "1"]) == 0
+    # a malformed fig3c table fails its merge before fig3a is written
+    summary = tmp_path / "fig3c.summary.json"
+    good = summary.read_bytes()
+    summary.write_text("{not json")
+    before = _tree_bytes(tmp_path)
+    assert main(argv + ["--seed", "2"]) == 2
+    assert _tree_bytes(tmp_path) == before
+    summary.write_bytes(good)
+
+    # a write that fails after fig3a.csv leaves a manifest holding the
+    # new hash of fig3a.csv and fig3c's entry from before
+    write_text = cli._write_text
+
+    def failing(path, text):
+        if os.path.basename(path) == "fig3a.summary.json":
+            raise OSError("disk full")
+        return write_text(path, text)
+
+    monkeypatch.setattr(cli, "_write_text", failing)
+    old_table = (tmp_path / "fig3a.csv").read_bytes()
+    assert main(argv + ["--seed", "2"]) == 2
+    assert (tmp_path / "fig3a.csv").read_bytes() != old_table
+    capsys.readouterr()
+    assert main(["verify", "--out", str(tmp_path)]) == 0

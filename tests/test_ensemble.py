@@ -348,13 +348,9 @@ def test_calibrated_rate_ignores_samples_and_seed(monkeypatch):
     assert used == [rate, rate]
 
 
-def test_calibrated_rate_follows_the_physics(monkeypatch):
-    # each input the calibration reads misses the cache, and the step
-    # grid is one of them
+def test_calibrated_rate_follows_the_physics():
     coupling, imp = _default_physics()
-    ensemble._calibrated_rate.cache_clear()
     rate = _rate(DOWN, coupling, imp, T_KITTEN)
-    misses = ensemble._calibrated_rate.cache_info().misses
     for changed_coupling, changed, t in (
             (coupling, replace(imp, scattering_probability=0.014), T_KITTEN),
             (coupling, replace(imp, pulse_rise_time=100e-9), T_KITTEN),
@@ -365,44 +361,9 @@ def test_calibrated_rate_follows_the_physics(monkeypatch):
             (replace(coupling, include_jx4=not coupling.include_jx4), imp, T_KITTEN)):
         other = _rate(DOWN, changed_coupling, changed, t)
         assert other != pytest.approx(rate, rel=1e-9)
-        misses += 1
-        assert ensemble._calibrated_rate.cache_info().misses == misses
-    assert _rate(basis_state(8, -7), coupling, imp, T_KITTEN) != rate
-    for name, value in (("PULSE_STEP_S", 2e-9), ("_MIN_STEPS", 60)):
-        with monkeypatch.context() as patch:
-            patch.setattr(ensemble, name, value)
-            assert _rate(DOWN, coupling, imp, T_KITTEN) != rate
-    assert ensemble._calibrated_rate.cache_info().misses == misses + 3
     # twice the probability needs about twice the rate
     doubled = _rate(DOWN, coupling, replace(imp, scattering_probability=0.014), T_KITTEN)
     assert doubled == pytest.approx(2 * rate, rel=0.02)
-
-
-def test_rate_is_calibrated_once_per_physics(monkeypatch):
-    # calls that differ only in seed, samples, cloud or leak share one
-    # calibration (three marches); each call then marches once
-    coupling, imp = _default_physics()
-    ensemble._calibrated_rate.cache_clear()
-    marches = [0]
-    run_steps = ensemble._run_steps
-
-    def counting(*args):
-        marches[0] += 1
-        return run_steps(*args)
-
-    monkeypatch.setattr(ensemble, "_run_steps", counting)
-    calls = ((imp, 1), (imp, 2), (replace(imp, ensemble_samples=3), 1),
-             (replace(imp, cloud_sigma=0.0), 1),
-             (replace(imp, initial_leak_fraction=0.0), 1))
-    for other, seed in calls:
-        ensemble_evolve(DOWN, coupling, other, T_KITTEN, seed)
-    info = ensemble._calibrated_rate.cache_info()
-    assert (info.misses, info.hits) == (1, len(calls) - 1)
-    assert marches[0] == 3 + len(calls)
-    # a cached rate is the rate computed afresh, bit for bit
-    cached = _rate(DOWN, coupling, imp, T_KITTEN)
-    ensemble._calibrated_rate.cache_clear()
-    assert _rate(DOWN, coupling, imp, T_KITTEN) == cached
 
 
 # 0.5: most samples jump; 1 - 1e-7: about 16 jumps each, so each
