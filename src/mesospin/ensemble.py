@@ -32,11 +32,14 @@ the light and decay terms share one eigenbasis, so only the Strang
 splitting against the static field is left to converge.  Each state
 stays in its sample's eigenbasis for the whole pulse, where a step is
 one diagonal phase and one product with a fixed per-sample matrix that
-carries the static field.  These step errors hold between jumps; a
-jump's time is resolved to one step.  The jump rate is calibrated on
-the nominal atom alone, in three marches per ensemble call, so it
-depends on the physics and never on the samples, the cloud, the leak
-or the seed.
+carries the static field.  kmat couples only m of equal parity, so each
+sample's eigenbasis comes from two half-size eigensolves.  These step
+errors hold between jumps; a jump's time is resolved to one step.  The
+jump rate is calibrated on the nominal atom alone, so it depends on the
+physics and never on the samples, the cloud, the leak or the seed.  The
+nominal atom rides as extra rows of the ensemble's one stepped pulse,
+and the calibration marches it at three trial rates in one batch, one
+round per ensemble call unless the scattering probability is large.
 """
 
 from __future__ import annotations
@@ -311,20 +314,55 @@ def _stepped_pulse(cfg, imp, ops, f, eps, t):
         scale, qmat = quartic
         quartic_eig = (scale, *np.linalg.eigh(qmat))
     field_half = None if field is None else expi_hermitian(field, ds / 2.0)
-    kw, kv = np.linalg.eigh(kmat)
-    # complex once, so that no step casts the real eigenvectors again
-    return _Pulse(env, env2, ds, (light_scale, kw, kv.astype(complex)), eps,
-                  quartic_eig, field_half)
+    kw, kv = _parity_eigh(kmat)
+    return _Pulse(env, env2, ds, (light_scale, kw, kv), eps, quartic_eig,
+                  field_half)
 
 
-def _rows(c, mats):
+def _parity_eigh(kmat):
+    """(kw, kv) of each kmat in the stack, from one eigensolve per parity.
+
+    kmat couples only m of equal parity: Jx^2, Jy^2 and Jz change m by
+    an even amount, so its entries between indices of odd offset are
+    exactly 0.  The eigenvectors of the even and the odd indices fill
+    the first ceil(d/2) and the last floor(d/2) columns of kv.  The
+    eigenvalues are sorted within each block only; the march uses
+    kv diag(kw) kv^T alone, so neither the order nor the basis of a
+    degenerate eigenspace matters.  kv is complex, so that no step
+    casts the real eigenvectors again.
+    """
+    n, d, _ = kmat.shape
+    half = (d + 1) // 2
+    kw = np.empty((n, d))
+    kv = np.zeros((n, d, d), dtype=complex)
+    for parity, cols in ((0, slice(None, half)), (1, slice(half, None))):
+        kw[:, cols], kv[:, parity::2, cols] = np.linalg.eigh(
+            kmat[:, parity::2, parity::2])
+    return kw, kv
+
+
+def _pulse_rows(pulse, rows):
+    """The pulse of the samples in the slice `rows` alone."""
+    scale, kw, kv = pulse.light
+    quartic = pulse.quartic
+    if quartic is not None:
+        quartic = (quartic[0][rows], *quartic[1:])
+    return pulse._replace(light=(scale[rows], kw[rows], kv[rows]),
+                          eps=pulse.eps[rows], quartic=quartic)
+
+
+def _rows(c, mats, out=None):
     """Each row of c times its sample's matrix, one row per product.
 
     c has shape (blocks, samples, dim) and mats (samples, dim, dim), or
     one (dim, dim) for every row.  BLAS rounds a single row unlike a
-    stack of rows, so a row rounds alike in any batch.
+    stack of rows, so a row rounds alike in any batch.  The rows go
+    into `out` when given, an array like c that does not overlap it.
     """
-    return (c[:, :, None, :] @ mats)[:, :, 0, :]
+    if out is None:
+        return (c[:, :, None, :] @ mats)[:, :, 0, :]
+    np.matmul(c[:, :, None, :], mats, out=out[:, :, None, :])
+    return out
 
 
 def _squared_norms(c):
@@ -374,7 +412,9 @@ class _March:
         Row i of each block of psi belongs to sample samples[i].  The
         squared norms are those at the end of the last step, before the
         trailing half field.  on_step(c) sees the rows after the light,
-        decay and quartic terms of every step and may change them.
+        decay and quartic terms of every step and may change them.  A
+        step allocates nothing: its phases and row products go into
+        buffers made once per march.
         """
         ds = self.pulse.ds
         kv, inner, wrap, last = (
@@ -383,13 +423,19 @@ class _March:
         if self.field_t is not None:
             psi = _rows(psi, self.field_t)
         c = _rows(psi, kv)
+        spare = np.empty_like(c)
+        exponent = self.exponent[samples]
+        phase = np.empty_like(exponent)
+        if inner is not None:
+            quartic_phase = self.quartic_phase[samples]
         for k, (e_k, e2_k) in enumerate(zip(self.pulse.env, self.pulse.env2)):
             if k and wrap is not None:
-                c = _rows(c, wrap)
-            c *= np.exp(self.exponent * (e_k * ds))[samples]
+                c, spare = _rows(c, wrap, spare), c
+            c *= np.exp(np.multiply(exponent, e_k * ds, out=phase), out=phase)
             if inner is not None:
-                c = _rows(c, inner)
-                c *= np.exp(self.quartic_phase * (e2_k * ds))[samples]
+                c, spare = _rows(c, inner, spare), c
+                c *= np.exp(np.multiply(quartic_phase, e2_k * ds, out=phase),
+                            out=phase)
             if on_step is not None:
                 on_step(c)
         psi = (last @ c[:, :, :, None])[:, :, :, 0]
@@ -476,15 +522,21 @@ def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
             rho += weight * np.einsum("ni,nk->ik", psis, psis.conj())
         return rho / n
 
-    pulse = _stepped_pulse(cfg, imp, ops, f, eps, t)
+    # the nominal atom rides as _TRIAL_OFFSETS.size extra rows of the one
+    # pulse, for the rate calibration
+    calibrate = imp.scattering_probability > 0 and t > 0
+    extra = _TRIAL_OFFSETS.size if calibrate else 0
+    pulse = _stepped_pulse(cfg, imp, ops, np.concatenate([f, np.ones(extra)]),
+                           np.concatenate([eps, np.zeros(extra)]), t)
     decay = None
-    if imp.scattering_probability > 0 and t > 0:
-        gamma = _calibrate_ensemble_rate(initial, cfg, imp, t, ops)
+    if calibrate:
+        gamma = _calibrate_ensemble_rate(initial, cfg, imp, t, ops,
+                                         _pulse_rows(pulse, slice(n, None)))
         decay = (gamma * f, int(round(2 * ops.j)))
     # one block per starter, stepped in one batch
     psi = np.stack([np.repeat(psi0[None, :], n, axis=0)
                     for _, psi0 in starters]).astype(complex)
-    psi = _run_steps(psi, pulse, decay, seed)
+    psi = _run_steps(psi, _pulse_rows(pulse, slice(None, n)), decay, seed)
     norms = _squared_norms(psi)
     psi = psi / np.sqrt(norms)[:, :, None]
     for (weight, _), block in zip(starters, psi):
@@ -492,32 +544,69 @@ def _ensemble_density(initial, cfg, imp, t, f, eps, seed, ops):
     return rho / n
 
 
-def _calibrate_ensemble_rate(initial, cfg, imp, t, ops):
+_TRIAL_OFFSETS = np.array([-1.0, 0.0, 1.0])  # trial rates g + x h, per round
+_RATE_BRACKET = 0.01                         # h / g
+_RATE_TOL = 1e-10                            # estimated error / rate
+_RATE_ROUNDS = 8
+
+
+def _calibrate_ensemble_rate(initial, cfg, imp, t, ops, nominal=None):
     """Unit-intensity jump rate hitting the configured pulse probability.
 
     The rate belongs to the nominal atom (unit intensity, no
     ellipticity), so it depends on the physics alone and never on the
-    samples, the cloud, the leak or the seed.  Its no-jump survival over
-    the pulse is 1 - the scattering probability.
+    samples, the cloud, the leak or the seed.  Its no-jump survival S
+    over the pulse is 1 - p, p the scattering probability.  `nominal` is
+    the pulse of the nominal atom's _TRIAL_OFFSETS.size rows that
+    `_ensemble_density` builds with its samples; without it the
+    calibration builds its own.  Eigensolves and row products treat
+    each row on its own, so both give the same rate bit for bit.
+
+    The first centre g is the exponential model's -log(1 - p)/(<kmat> t).
+    A round marches the trial rates in one batch, fits log S as a
+    quadratic in the rate through them, and moves g to its root nearest
+    g (to Newton's root where the quadratic has none).  The cubic term
+    that the exact log S(0) = 0 adds to the quadratic estimates the
+    root's error.  The calibration ends once the root lies within the
+    bracket and that error is at most _RATE_TOL of the rate: over
+    2j = 7, 8 and 16, after one round for p <= 0.3, two at p = 0.9 and
+    three or four at p = 1 - 1e-7, within 4e-11 of the converged rate.
+    After _RATE_ROUNDS rounds, or if S does not fall with the rate, it
+    raises RuntimeError, which the command line reports as a numerical
+    failure.
     """
     target = imp.scattering_probability
     if target == 0:
         return 0.0
     initial = np.asarray(initial, dtype=complex)
-    pulse = _stepped_pulse(cfg, imp, ops, np.ones(1), np.zeros(1), t)
     two_j = int(round(2 * ops.j))
-
-    def survival(gamma):
-        psi = _run_steps(initial[None, None, :], pulse, (np.array([gamma]), two_j))
-        return float(np.real(np.vdot(psi[0, 0], psi[0, 0])))
-
+    if nominal is None:
+        nominal = _stepped_pulse(cfg, imp, ops, np.ones(_TRIAL_OFFSETS.size),
+                                 np.zeros(_TRIAL_OFFSETS.size), t)
+    psi = np.repeat(initial[None, None, :], _TRIAL_OFFSETS.size, axis=1)
+    goal = math.log1p(-target)
     expect = float(np.real(np.vdot(initial, _kmat(two_j, [0.0])[0] @ initial)))
-    gamma = target / max(expect * t, 1e-300)
-    # survival is nearly exponential in the rate, so three updates suffice
-    for _ in range(3):
-        decay = -math.log(survival(gamma)) / gamma
-        gamma = -math.log1p(-target) / decay
-    return gamma
+    gamma = -goal / max(expect * t, 1e-300)
+    for _ in range(_RATE_ROUNDS):
+        h = _RATE_BRACKET * gamma
+        out = _run_steps(psi, nominal, (gamma + h * _TRIAL_OFFSETS, two_j))
+        low, mid, high = np.log(_squared_norms(out)[0])
+        slope = (high - low) / (2.0 * h)
+        if not slope < 0:
+            break
+        curve = (high - 2.0 * mid + low) / (2.0 * h * h)
+        miss = goal - mid
+        disc = slope * slope + 4.0 * curve * miss
+        move = miss / slope if disc < 0 else (
+            2.0 * miss / (slope - math.sqrt(disc)))
+        # the cubic d u^3, d = q(-g)/g^3 for the quadratic q(u) about g,
+        # moves the root u by d u (u^2 - h^2) / slope
+        cubic = (mid - slope * gamma + curve * gamma * gamma) / gamma**3
+        error = abs(cubic * move * (move * move - h * h) / slope)
+        gamma += move
+        if abs(move) <= h and error <= _RATE_TOL * gamma:
+            return gamma
+    raise RuntimeError("the scattering-rate calibration did not converge")
 
 
 def ensemble_evolve(initial, cfg, imp, t, seed):

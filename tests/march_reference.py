@@ -1,4 +1,4 @@
-"""Reference form of the stepped MCWF march, kept to check `ensemble._run_steps`.
+"""Reference forms of the stepped MCWF march and of its rate calibration.
 
 `reference_steps` is the per-step loop the engine replaced: every step
 applies half the static field, rotates each row into its sample's kmat
@@ -7,12 +7,41 @@ term in its own eigenbasis, tests every row's squared norm against its
 jump threshold, and applies the other half of the field.  It takes the
 same `_Pulse`, decay and seed as `_run_steps` and draws its thresholds
 and channel picks from the same substreams.
+
+`reference_rate` is the rate calibration's former fixed-point update,
+gamma <- -log(1 - p) / (-log S(gamma) / gamma), iterated until it moves
+by at most 1e-12 relative instead of three times (at p = 0.007 the
+rounding of log S leaves it jittering at about 1e-14).  It marches one
+row of the nominal atom with `ensemble._run_steps`.
 """
+
+import math
 
 import numpy as np
 
+from mesospin import ensemble
 from mesospin.ensemble import _apply_jump, scattering_channels
 from mesospin.rng import substream
+
+
+def reference_rate(initial, cfg, imp, t, ops):
+    """Converged unit-intensity jump rate of the nominal atom."""
+    target = imp.scattering_probability
+    two_j = int(round(2 * ops.j))
+    initial = np.asarray(initial, dtype=complex)
+    pulse = ensemble._stepped_pulse(cfg, imp, ops, np.ones(1), np.zeros(1), t)
+    kmat = ensemble._kmat(two_j, [0.0])[0]
+    expect = float(np.real(np.vdot(initial, kmat @ initial)))
+    gamma = target / (expect * t)
+    for _ in range(1000):
+        psi = ensemble._run_steps(initial[None, None, :], pulse,
+                                  (np.array([gamma]), two_j))
+        survival = float(np.real(np.vdot(psi[0, 0], psi[0, 0])))
+        update = -math.log1p(-target) * gamma / -math.log(survival)
+        if abs(update - gamma) <= 1e-12 * gamma:
+            return update
+        gamma = update
+    raise AssertionError("the fixed-point update did not settle")
 
 
 def reference_steps(psi, pulse, decay=None, seed=None):

@@ -22,7 +22,7 @@ import mesospin
 import table_reference
 from mesospin import cli, ensemble, kitten_state, pulse_steps
 from mesospin.cli import main
-from mesospin.config import config_to_json, default_config
+from mesospin.config import apply_overrides, config_to_json, default_config
 from mesospin.ensemble import _imperfection_draws
 from mesospin.tomography import (
     dataset_to_json,
@@ -677,31 +677,78 @@ def test_library_holds_only_what_commands_demos_and_paper_checks_reach():
     assert sorted(".".join(ref) for ref in kept & reached) == []
 
 
-def test_scan_request_marches_four_times_and_writes_one_manifest(
+def test_scan_request_marches_twice_builds_one_pulse_and_truncates_nothing(
         config_path, tmp_path, monkeypatch):
-    # a parity, ramsey or hellinger request calibrates the jump rate in
-    # three marches of the nominal atom, steps its ensemble in one more,
-    # and writes the manifest once
-    counts = {"marches": 0, "manifests": 0}
-    run_steps, write_text = ensemble._run_steps, cli._write_text
+    # a warm parity, ramsey or hellinger request builds one stepped pulse,
+    # calibrates the jump rate in one batched march of the nominal atom
+    # on it, steps its ensemble in one more, writes the manifest once and
+    # opens no file with truncation
+    counts = dict.fromkeys(
+        ("marches", "pulses", "manifests", "truncating opens"), 0)
+    run_steps, stepped_pulse = ensemble._run_steps, ensemble._stepped_pulse
+    write_text, os_open = cli._write_text, os.open
 
     def march(*args):
         counts["marches"] += 1
         return run_steps(*args)
 
+    def pulse(*args):
+        counts["pulses"] += 1
+        return stepped_pulse(*args)
+
     def write(path, text):
         counts["manifests"] += os.path.basename(path) == "manifest.json"
         return write_text(path, text)
 
+    def low_open(path, flags, *args, **kwargs):
+        counts["truncating opens"] += bool(flags & os.O_TRUNC)
+        return os_open(path, flags, *args, **kwargs)
+
+    def builtin_open(file, mode="r", *args, **kwargs):
+        counts["truncating opens"] += "w" in mode
+        return open(file, mode, *args, **kwargs)
+
     monkeypatch.setattr(ensemble, "_run_steps", march)
+    monkeypatch.setattr(ensemble, "_stepped_pulse", pulse)
     monkeypatch.setattr(cli, "_write_text", write)
+    monkeypatch.setattr(os, "open", low_open)
+    monkeypatch.setattr(cli, "open", builtin_open, raising=False)
     for command in ("parity", "ramsey", "hellinger"):
         argv = [command, "--config", config_path, "--samples", "4",
                 "--out", str(tmp_path)]
         assert main(argv + ["--seed", "1"]) == 0
-        counts.update(marches=0, manifests=0)
+        counts.update(dict.fromkeys(counts, 0))
         assert main(argv + ["--seed", "2"]) == 0
-        assert counts == {"marches": 4, "manifests": 1}, command
+        assert counts == {"marches": 2, "pulses": 1, "manifests": 1,
+                          "truncating opens": 0}, command
+
+
+def test_rewritten_artifact_holds_exactly_its_new_bytes(tmp_path, capsys):
+    # an artifact rewritten longer, shorter and longer again keeps its
+    # file, holds the bytes a fresh directory gets, with no stale tail,
+    # and verify passes after each rewrite
+    out = tmp_path / "out"
+    inodes = set()
+    for rows in (40, 3, 70):
+        artifact = cli.Artifact("demo", [("x", "1")],
+                                [[i / 7.0] for i in range(rows)], {"rows": rows})
+        trees = []
+        for target in (out, tmp_path / f"fresh{rows}"):
+            cfg = apply_overrides(default_config(), out_dir=str(target))
+            cli.write_artifacts(cfg, [artifact])
+            trees.append(_tree_bytes(target))
+        assert trees[0] == trees[1]
+        assert len(trees[0]["demo.csv"].splitlines()) == rows + 1
+        inodes.add(os.stat(out / "demo.csv").st_ino)
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 0
+    assert len(inodes) == 1
+    # a new file gets the mode open(path, "wb") gives it under the umask
+    with open(tmp_path / "reference", "wb"):
+        pass
+    mode = os.stat(tmp_path / "reference").st_mode
+    for name in ("demo.csv", "demo.summary.json", "manifest.json"):
+        assert os.stat(out / name).st_mode == mode, name
 
 
 def test_failed_merge_writes_nothing_and_failed_write_keeps_manifest_true(

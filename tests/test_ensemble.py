@@ -366,6 +366,47 @@ def test_calibrated_rate_follows_the_physics():
     assert doubled == pytest.approx(2 * rate, rel=0.02)
 
 
+# p = 1 - 1e-7 takes the rate far beyond the exponential model's first
+# guess: three fixed-point updates left it 4.5 % (j = 4) and 6.4 % (j = 8)
+# short of its target
+@pytest.mark.parametrize("j", [4.0, 8.0])
+@pytest.mark.parametrize("probability", [0.007, 0.3, 0.9, 1 - 1e-7])
+def test_calibrated_rate_meets_its_converged_reference(j, probability):
+    coupling, imp = _default_physics()
+    imp = replace(imp, scattering_probability=probability)
+    down = basis_state(j, -j)
+    expect = march_reference.reference_rate(down, coupling, imp, T_KITTEN,
+                                            make_operators(j))
+    assert _rate(down, coupling, imp, T_KITTEN) == pytest.approx(expect, rel=1e-10)
+
+
+def test_calibration_that_does_not_converge_raises(monkeypatch):
+    # p = 0.9 takes two rounds at j = 8
+    coupling, imp = _default_physics()
+    imp = replace(imp, scattering_probability=0.9)
+    monkeypatch.setattr(ensemble, "_RATE_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _rate(DOWN, coupling, imp, T_KITTEN)
+
+
+@pytest.mark.parametrize("two_j", [1, 7, 8, 16])
+def test_parity_blocks_rebuild_kmat(two_j):
+    # kmat couples only m of equal parity: its entries at odd offset are
+    # exactly 0, and the eigensolves of the even and the odd block give
+    # an orthogonal kv with kv diag(kw) kv^T = kmat
+    eps = [0.0, 1e-3, 0.3]
+    kmat = ensemble._kmat(two_j, eps)
+    index = np.arange(two_j + 1)
+    odd = (index[:, None] - index[None, :]) % 2 == 1
+    assert np.all(kmat[:, odd] == 0)
+    kw, kv = ensemble._parity_eigh(kmat)
+    assert np.all(kv.imag == 0)
+    eye = np.eye(two_j + 1)
+    for e, k, w, v in zip(eps, kmat, kw, kv.real):
+        assert np.max(np.abs(v @ np.diag(w) @ v.T - k)) < 1e-14, e
+        assert np.max(np.abs(v.T @ v - eye)) < 1e-14, e
+
+
 # 0.5: most samples jump; 1 - 1e-7: about 16 jumps each, so each
 # trajectory draws from its substreams up to about k = 16
 @pytest.mark.parametrize("samples, probability", [(1, 0.5), (3, 0.5), (3, 1 - 1e-7)])
